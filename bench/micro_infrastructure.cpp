@@ -115,7 +115,7 @@ BENCHMARK(BM_FeatureExtraction);
 // re-executes a candidate and compares it against a reference run; the
 // validation flow below reproduces that cost on a Table 1 matmul. The
 // VM case is the default runtime::execute engine, the tree-walk case
-// is the TENSORIR_FORCE_TREEWALK oracle.
+// is the TENSORIR_ENGINE=treewalk oracle.
 
 std::vector<runtime::NDArray>
 numericArgs(const PrimFunc& func, uint64_t seed)

@@ -12,6 +12,7 @@
 #include "meta/sketch.h"
 
 #include <chrono>
+#include <string_view>
 
 using namespace tir;
 
@@ -34,16 +35,7 @@ main()
     std::vector<graph::ModelSpec> models = {
         graph::resnet50Gpu(), graph::mobilenetV2Gpu(),
         graph::bertLargeGpu(), graph::vitGpu()};
-    struct FilterTotals
-    {
-        int invalid = 0;
-        int race = 0;
-        int bounds = 0;
-        int lint = 0;
-        int crash = 0;
-        int hang = 0;
-    };
-    std::vector<FilterTotals> filters(models.size());
+    std::vector<meta::TuneCounters> filters(models.size());
     for (size_t m = 0; m < models.size(); ++m) {
         const graph::ModelSpec& model = models[m];
         double tvm_minutes = 0;
@@ -58,18 +50,8 @@ main()
                 bench::endToEndOptions(42 + 100 * rep));
             tvm_minutes += tvm.tuning_minutes / kReplications;
             tensorir_minutes += tensorir.tuning_minutes / kReplications;
-            filters[m].invalid +=
-                tvm.invalid_filtered + tensorir.invalid_filtered;
-            filters[m].race +=
-                tvm.race_filtered + tensorir.race_filtered;
-            filters[m].bounds +=
-                tvm.bounds_filtered + tensorir.bounds_filtered;
-            filters[m].lint +=
-                tvm.lint_filtered + tensorir.lint_filtered;
-            filters[m].crash +=
-                tvm.crash_filtered + tensorir.crash_filtered;
-            filters[m].hang +=
-                tvm.hang_filtered + tensorir.hang_filtered;
+            filters[m] += tvm.counters;
+            filters[m] += tensorir.counters;
         }
         bench::printRow({model.name, bench::fmt(tvm_minutes),
                          bench::fmt(tensorir_minutes),
@@ -79,22 +61,31 @@ main()
     std::printf("\n(paper: ResNet-50 308 -> 156, MobileNet-V2 292 -> "
                 "261, BERT 410 -> 189, ViT 247 -> 145 minutes)\n");
 
-    // Candidates the validators discarded before any measurement, per
-    // workload (both personas, all replications): structural rejects
-    // (failed sketch instantiation / thread-binding rules), the
-    // static-analysis rejects (provable races / out-of-bounds / lint),
-    // and the isolated-measurement rejects (worker crashes and
+    // Candidates the search rejected, per workload (both personas, all
+    // replications), one column per reject kind: structural rejects
+    // (failed sketch instantiation / thread-binding rules / device
+    // constraints), the static-analysis rejects (provable races /
+    // out-of-bounds / lint), contained runtime failures, and the
+    // measurement rejects (compile budget, worker crashes and
     // timeout-killed hangs; zero here because this bench tunes on the
     // analytical backend, but the columns keep the report shape stable
     // for measure_backend="jit" runs).
-    std::printf("\ncandidate filter counts (structural / race / "
-                "out-of-bounds / lint / crash / hang):\n");
+    std::printf("\ncandidate filter counts (");
+    for (size_t k = 0; k < meta::kNumRejectKinds; ++k) {
+        std::string_view name = meta::TuneCounters::kFields[k].name;
+        name.remove_suffix(std::string_view("_filtered").size());
+        std::printf("%s%.*s", k ? " / " : "",
+                    static_cast<int>(name.size()), name.data());
+    }
+    std::printf("):\n");
     for (size_t m = 0; m < models.size(); ++m) {
-        std::printf("  %-14s %5d / %3d / %3d / %3d / %3d / %3d\n",
-                    models[m].name.c_str(), filters[m].invalid,
-                    filters[m].race, filters[m].bounds,
-                    filters[m].lint, filters[m].crash,
-                    filters[m].hang);
+        std::printf("  %-14s %5d", models[m].name.c_str(),
+                    filters[m].*meta::TuneCounters::kFields[0].member);
+        for (size_t k = 1; k < meta::kNumRejectKinds; ++k) {
+            std::printf(" / %3d",
+                        filters[m].*meta::TuneCounters::kFields[k].member);
+        }
+        std::printf("\n");
     }
 
     // §5.2's further claim: cached search records eliminate the search

@@ -95,17 +95,7 @@ main(int argc, char** argv)
     check(replay.best_latency_us == wall.best_latency_us,
           "best_latency_us");
     check(replay.history == wall.history, "history");
-    check(replay.trials_measured == wall.trials_measured,
-          "trials_measured");
-    check(replay.measured_valid == wall.measured_valid,
-          "measured_valid");
-    check(replay.measured_invalid == wall.measured_invalid,
-          "measured_invalid");
-    check(replay.compile_timeout_filtered ==
-              wall.compile_timeout_filtered,
-          "compile_timeout_filtered");
-    check(replay.measure_fallbacks == wall.measure_fallbacks,
-          "measure_fallbacks");
+    check(replay.counters() == wall.counters(), "counters");
     check(replay.tuning_cost_us == wall.tuning_cost_us,
           "tuning_cost_us");
     check(funcToString(replay.best_func) == funcToString(wall.best_func),

@@ -121,21 +121,10 @@ main(int argc, char** argv)
 
     check(replay.generations_replayed == options.generations + 1,
           "replay re-ran generations instead of restoring them");
-    check(replay.crash_filtered == wall.crash_filtered,
-          "crash_filtered");
-    check(replay.hang_filtered == wall.hang_filtered, "hang_filtered");
+    check(replay.counters() == wall.counters(), "counters");
     check(replay.best_latency_us == wall.best_latency_us,
           "best_latency_us");
     check(replay.history == wall.history, "history");
-    check(replay.trials_measured == wall.trials_measured,
-          "trials_measured");
-    check(replay.measured_valid == wall.measured_valid,
-          "measured_valid");
-    check(replay.measured_invalid == wall.measured_invalid,
-          "measured_invalid");
-    check(replay.compile_timeout_filtered ==
-              wall.compile_timeout_filtered,
-          "compile_timeout_filtered");
     check(replay.tuning_cost_us == wall.tuning_cost_us,
           "tuning_cost_us");
     check(funcToString(replay.best_func) ==

@@ -50,14 +50,14 @@ else
     echo "ci: clang-tidy not found; static-analysis job skipped"
 fi
 
-# Forced-tree-walk job: the whole suite again with runtime::execute
-# pinned to the tree-walking oracle instead of the bytecode VM. Every
-# numeric check in the tests must hold on both engines — this is the
-# cheap insurance that the VM never becomes the only engine the suite
-# actually exercises.
-TENSORIR_FORCE_TREEWALK=1 \
+# Oracle-engine job: the whole suite again with runtime::execute on the
+# tree-walking oracle instead of the bytecode VM (wherever a test or
+# tune does not pick its engine explicitly). Every numeric check in the
+# tests must hold on both engines — this is the cheap insurance that
+# the VM never becomes the only engine the suite actually exercises.
+TENSORIR_ENGINE=treewalk \
     ctest --test-dir "$BUILD_DIR" --output-on-failure
-echo "ci: forced-tree-walk run (oracle engine) passed"
+echo "ci: tree-walk run (oracle engine) passed"
 
 # JIT job: the whole suite once more with runtime::execute pinned to
 # the native tier (C codegen -> system compiler -> dlopen; see
@@ -136,6 +136,38 @@ TENSORIR_MEASURE_TIMEOUT_MS=300 \
     "$BUILD_DIR/examples/example_runner_chaos_smoke" \
     "$BUILD_DIR/runner-chaos-journal.txt"
 echo "ci: runner chaos (crashed/hung workers classified and journaled) passed"
+
+# Multi-core concurrency job: the suites with real concurrency
+# contracts (thread pool, parallel search, serving layer, measurement
+# runner), repeated while pinned to 2 and then 4 CPUs — once plain and
+# once with a `thread_pool.claim` delay that holds pool workers between
+# wake-up and claim. On one CPU those interleavings almost never
+# happen; the pool's claim race hid there.
+CONCURRENCY_SUITES='ThreadPool*:ParallelSearch*:ServeDatabase*:HotCache*:ScheduleServer*:RunnerSearch*'
+if command -v taskset >/dev/null 2>&1; then
+    for cpus in 2 4; do
+        if (( $(nproc) < cpus )); then
+            echo "ci: fewer than $cpus CPUs; $cpus-CPU concurrency run skipped"
+            continue
+        fi
+        for schedule in "" "seed=3; thread_pool.claim=delay(0.2,1)"; do
+            TENSORIR_FAILPOINTS="$schedule" taskset -c "0-$((cpus - 1))" \
+                "$BUILD_DIR/tests/tensorir_tests" \
+                --gtest_filter="$CONCURRENCY_SUITES" --gtest_repeat=3 \
+                --gtest_brief=1
+        done
+    done
+    echo "ci: concurrency suites on 2 and 4 CPUs passed"
+else
+    echo "ci: taskset not found; multi-core concurrency job skipped"
+fi
+
+# Benchmark smoke job: every perfbench workload in smoke mode, traced
+# and untraced, plus a killed worker (perfbench/smoke_test.py). The
+# benchmark's worker compiles against the search's public types, so a
+# change to TuneResult or TuneOptions shows here.
+python3 perfbench/smoke_test.py
+echo "ci: benchmark smoke test passed"
 
 if [[ "${TENSORIR_CI_SKIP_SANITIZERS:-0}" == "1" ]]; then
     echo "ci: sanitizer job skipped (TENSORIR_CI_SKIP_SANITIZERS=1)"

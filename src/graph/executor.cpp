@@ -43,12 +43,7 @@ runModelTuned(const ModelSpec& model, const hwsim::DeviceModel& device,
             meta::autoTune(task, device, opts, style);
         result.latency_us += tuned.best_latency_us * layer.count;
         result.tuning_minutes += tuned.tuning_cost_us / 60e6;
-        result.invalid_filtered += tuned.invalid_filtered;
-        result.race_filtered += tuned.race_filtered;
-        result.bounds_filtered += tuned.bounds_filtered;
-        result.lint_filtered += tuned.lint_filtered;
-        result.crash_filtered += tuned.crash_filtered;
-        result.hang_filtered += tuned.hang_filtered;
+        result.counters += tuned.counters();
     }
     return result;
 }

@@ -23,18 +23,9 @@ struct ModelResult
     /** Simulated wall-clock time spent tuning (profiling-dominated). */
     double tuning_minutes = 0;
     bool supported = true;
-    /** Candidate-filter totals summed over all tuned layers: structural
-     *  rejects, provable-race rejects, and provable-out-of-bounds
-     *  rejects (TuneResult's invalid/race/bounds counters). */
-    int invalid_filtered = 0;
-    int race_filtered = 0;
-    int bounds_filtered = 0;
-    int lint_filtered = 0;
-    /** Isolated-measurement rejects (TuneResult's crash/hang
-     *  counters): workers killed by the candidate's own kernel or by
-     *  the hard wall-clock timeout. Zero for the analytical backend. */
-    int crash_filtered = 0;
-    int hang_filtered = 0;
+    /** Search counters (reject reasons, trials, memo hits) summed over
+     *  all tuned layers. */
+    meta::TuneCounters counters;
 };
 
 /** Tune a model with one of our tuner personas and sum layer times. */

@@ -1,6 +1,7 @@
 #include "intrin/tensor_intrin.h"
 
 #include <map>
+#include <mutex>
 
 #include "runtime/interpreter.h"
 
@@ -153,16 +154,9 @@ tileMma(runtime::ExecContext& interp, const CallNode& call, int64_t m,
     }
 }
 
-bool builtins_registered = false;
-
-} // namespace
-
 void
-registerBuiltinIntrinsics()
+registerBuiltinsOnce()
 {
-    if (builtins_registered) return;
-    builtins_registered = true;
-
     using runtime::ExecContext;
     using runtime::Interpreter;
 
@@ -221,6 +215,19 @@ registerBuiltinIntrinsics()
         [](ExecContext& interp, const CallNode& call) {
             tileMma(interp, call, 8, 12, 4);
         });
+}
+
+} // namespace
+
+void
+registerBuiltinIntrinsics()
+{
+    // Once per process, and every caller returns only after the fill
+    // finished: concurrent first lookups (parallel searches, the
+    // schedule server's first background tunes) must never read a
+    // half-filled registry.
+    static std::once_flag once;
+    std::call_once(once, registerBuiltinsOnce);
 }
 
 } // namespace tir

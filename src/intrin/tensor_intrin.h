@@ -57,7 +57,9 @@ class TensorIntrin
 };
 
 /**
- * Register the built-in intrinsics (idempotent):
+ * Register the built-in intrinsics (idempotent and thread-safe: the
+ * first call registers, and concurrent callers return only once it
+ * finished):
  *  - "accel_dot_4x4x4": the paper's Figure 8 synthetic 4x4x4 matmul
  *    backed by a dot-product instruction (fp32).
  *  - "wmma_16x16x16_f16": Tensor-Core style 16x16x16 mma (fp16) with

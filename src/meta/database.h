@@ -67,7 +67,7 @@ class TuningDatabase
 
     /**
      * Serialize all records to a line-oriented text format. Latencies
-     * are written as their IEEE-754 bit pattern (the journal's `meas`
+     * are written as their IEEE-754 bit pattern (the journal's
      * convention, support/double_bits.h) with a human-readable decimal
      * alongside, so a save/load round-trip is byte-identical and never
      * perturbs the `commit()` improve-comparison; workload names sit at

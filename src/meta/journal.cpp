@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "support/crc32.h"
@@ -78,37 +79,20 @@ readDecision(std::istringstream& ls, Decision* d)
 
 // --- record bodies ------------------------------------------------------
 
-std::string
-headerBody(const JournalHeader& h)
-{
-    std::ostringstream os;
-    os << "section " << h.workload_hash << " " << h.seed << " "
-       << (h.label.empty() ? "-" : h.label) << "\n";
-    os << "options " << h.population << " " << h.generations << " "
-       << h.children_per_generation << " " << h.measured_per_generation
-       << " " << (h.use_cost_model ? 1 : 0) << " "
-       << bitsOf(h.measure_overhead_us) << " " << bitsOf(h.measure_repeats)
-       << " " << (h.measure_backend.empty() ? "-" : h.measure_backend)
-       << " " << h.measure_warmup << " " << h.measure_repeats_real << " "
-       << bitsOf(h.compile_budget_ms) << " "
-       << (h.measure_pin_cpu ? 1 : 0) << "\n";
-    return os.str();
-}
+/** Format tag of the identity line; bump it whenever a record's layout
+ *  changes, so older journals never match and their searches start
+ *  fresh. */
+constexpr const char* kFormatTag = "v2";
 
 std::string
 generationBody(const JournalGeneration& g)
 {
     std::ostringstream os;
-    os << "gen " << g.index << " " << g.trials_measured << " "
-       << g.measured_valid << " " << g.measured_invalid << " "
-       << g.compile_timeout_filtered << " " << g.crash_filtered << " "
-       << g.hang_filtered << " " << g.measure_fallbacks
-       << " " << g.invalid_filtered << " " << g.race_filtered << " "
-       << g.bounds_filtered << " " << g.runtime_filtered << " "
-       << g.timeout_filtered << " " << g.numeric_filtered << " "
-       << g.lint_filtered << " " << g.memo_hits << " "
-       << g.memo_measure_hits << " " << g.model_fallbacks << " "
-       << bitsOf(g.tuning_cost_us) << "\n";
+    os << "gen " << g.index << " " << bitsOf(g.tuning_cost_us);
+    for (const TuneCounters::Field& f : TuneCounters::kFields) {
+        os << " " << g.counters.*f.member;
+    }
+    os << "\n";
     os << "best " << bitsOf(g.best_latency_us) << "\n";
     for (const Decision& d : g.best_decisions) writeDecision(os, "bd", d);
     os << "history";
@@ -124,37 +108,32 @@ generationBody(const JournalGeneration& g)
         for (double f : s.features) os << " " << bitsOf(f);
         os << "\n";
     }
-    for (const JournalMemoEntry& m : g.new_memo) {
-        os << "memo " << m.hash << " " << (m.measured ? 1 : 0) << " "
-           << (m.eval_failed ? 1 : 0) << " "
-           << (m.compile_timed_out ? 1 : 0) << " "
-           << (m.crashed ? 1 : 0) << " " << (m.hanged ? 1 : 0) << " "
-           << bitsOf(m.latency_us) << " "
-           << bitsOf(m.measured_latency_us);
-        for (double f : m.features) os << " " << bitsOf(f);
+    for (const auto& [hash, e] : g.memo) {
+        os << "memo " << hash << " " << e.measured << " " << e.eval_failed
+           << " " << e.compile_timed_out << " " << e.crashed << " "
+           << e.hanged << " " << bitsOf(e.estimate.latency_us) << " "
+           << bitsOf(e.measured_latency_us);
+        for (double f : e.features) os << " " << bitsOf(f);
         // The violation text can hold spaces; keep it last, behind an
         // unambiguous separator, so the feature list stays parseable.
-        if (!m.violation.empty()) os << " | " << m.violation;
+        if (!e.estimate.violation.empty()) {
+            os << " | " << e.estimate.violation;
+        }
         os << "\n";
-    }
-    for (const JournalMeasured& jm : g.measured) {
-        os << "meas " << jm.hash << " " << bitsOf(jm.latency_us) << " "
-           << (jm.compile_timed_out ? 1 : 0) << " "
-           << (jm.crashed ? 1 : 0) << " " << (jm.hanged ? 1 : 0)
-           << "\n";
     }
     return os.str();
 }
 
 // --- record parsing -----------------------------------------------------
 
-/** Parse one record body into `section`/`gen`. Returns false on any
- *  malformed line (the caller treats the record as damaged). */
+/** Parse one record body into `out`. Returns false on any malformed
+ *  line (the caller treats the record as damaged). */
 bool
 parseRecord(const std::string& body, JournalContents* out)
 {
     std::istringstream is(body);
     std::string line;
+    std::optional<std::string> identity;
     JournalGeneration gen;
     bool is_gen = false;
     JournalIndividual* open_indiv = nullptr;
@@ -165,44 +144,13 @@ parseRecord(const std::string& body, JournalContents* out)
         ls >> tag;
         bool ok = true;
         if (tag == "section") {
-            JournalSection section;
-            ls >> section.header.workload_hash >> section.header.seed >>
-                section.header.label;
-            if (ls.fail()) return false;
-            if (section.header.label == "-") section.header.label.clear();
-            if (!std::getline(is, line)) return false;
-            std::istringstream opts(line);
-            std::string opt_tag, overhead, repeats, backend, budget;
-            int cost_model = 1;
-            int pin = 0;
-            opts >> opt_tag >> section.header.population >>
-                section.header.generations >>
-                section.header.children_per_generation >>
-                section.header.measured_per_generation >> cost_model >>
-                overhead >> repeats >> backend >>
-                section.header.measure_warmup >>
-                section.header.measure_repeats_real >> budget >> pin;
-            if (opts.fail() || opt_tag != "options") return false;
-            section.header.use_cost_model = cost_model != 0;
-            section.header.measure_overhead_us = doubleOf(overhead, &ok);
-            section.header.measure_repeats = doubleOf(repeats, &ok);
-            if (backend != "-") section.header.measure_backend = backend;
-            section.header.compile_budget_ms = doubleOf(budget, &ok);
-            section.header.measure_pin_cpu = pin != 0;
-            if (!ok) return false;
-            out->sections.push_back(std::move(section));
+            identity = line;
         } else if (tag == "gen") {
-            ls >> gen.index >> gen.trials_measured >>
-                gen.measured_valid >> gen.measured_invalid >>
-                gen.compile_timeout_filtered >> gen.crash_filtered >>
-                gen.hang_filtered >> gen.measure_fallbacks >>
-                gen.invalid_filtered >> gen.race_filtered >>
-                gen.bounds_filtered >> gen.runtime_filtered >>
-                gen.timeout_filtered >> gen.numeric_filtered >>
-                gen.lint_filtered >> gen.memo_hits >>
-                gen.memo_measure_hits >> gen.model_fallbacks;
             std::string cost;
-            ls >> cost;
+            ls >> gen.index >> cost;
+            for (const TuneCounters::Field& f : TuneCounters::kFields) {
+                ls >> gen.counters.*f.member;
+            }
             if (ls.fail()) return false;
             gen.tuning_cost_us = doubleOf(cost, &ok);
             if (!ok) return false;
@@ -253,50 +201,34 @@ parseRecord(const std::string& body, JournalContents* out)
             }
             gen.new_samples.push_back(std::move(s));
         } else if (tag == "memo") {
-            JournalMemoEntry m;
-            int measured = 0, failed = 0, ctimeout = 0;
-            int crashed = 0, hanged = 0;
+            uint64_t hash = 0;
+            MemoEntry e;
             std::string word, mword;
-            ls >> m.hash >> measured >> failed >> ctimeout >> crashed >>
-                hanged >> word >> mword;
+            ls >> hash >> e.measured >> e.eval_failed >>
+                e.compile_timed_out >> e.crashed >> e.hanged >> word >>
+                mword;
             if (ls.fail()) return false;
-            m.measured = measured != 0;
-            m.eval_failed = failed != 0;
-            m.compile_timed_out = ctimeout != 0;
-            m.crashed = crashed != 0;
-            m.hanged = hanged != 0;
-            m.latency_us = doubleOf(word, &ok);
-            if (!ok) return false;
-            m.measured_latency_us = doubleOf(mword, &ok);
+            e.estimate.latency_us = doubleOf(word, &ok);
+            e.measured_latency_us = doubleOf(mword, &ok);
             if (!ok) return false;
             while (ls >> word) {
                 if (word == "|") {
-                    std::getline(ls, m.violation);
-                    if (!m.violation.empty() && m.violation.front() == ' ') {
-                        m.violation.erase(0, 1);
+                    std::getline(ls, e.estimate.violation);
+                    if (!e.estimate.violation.empty() &&
+                        e.estimate.violation.front() == ' ') {
+                        e.estimate.violation.erase(0, 1);
                     }
                     break;
                 }
-                m.features.push_back(doubleOf(word, &ok));
+                e.features.push_back(doubleOf(word, &ok));
                 if (!ok) return false;
             }
-            gen.new_memo.push_back(std::move(m));
-        } else if (tag == "meas") {
-            JournalMeasured jm;
-            std::string lat;
-            int ctimeout = 0, crashed = 0, hanged = 0;
-            ls >> jm.hash >> lat >> ctimeout >> crashed >> hanged;
-            if (ls.fail()) return false;
-            jm.latency_us = doubleOf(lat, &ok);
-            if (!ok) return false;
-            jm.compile_timed_out = ctimeout != 0;
-            jm.crashed = crashed != 0;
-            jm.hanged = hanged != 0;
-            gen.measured.push_back(jm);
+            gen.memo.emplace_back(hash, std::move(e));
         } else if (!tag.empty()) {
             return false;
         }
     }
+    if (identity) out->sections.push_back({*identity, {}});
     if (is_gen) {
         if (out->sections.empty()) return false;
         JournalSection& section = out->sections.back();
@@ -312,29 +244,34 @@ parseRecord(const std::string& body, JournalContents* out)
 
 } // namespace
 
-bool
-JournalHeader::matches(const JournalHeader& other) const
+std::string
+journalIdentity(uint64_t workload_hash, const TuneOptions& options)
 {
-    return workload_hash == other.workload_hash && seed == other.seed &&
-           label == other.label && population == other.population &&
-           generations == other.generations &&
-           children_per_generation == other.children_per_generation &&
-           measured_per_generation == other.measured_per_generation &&
-           use_cost_model == other.use_cost_model &&
-           measure_overhead_us == other.measure_overhead_us &&
-           measure_repeats == other.measure_repeats &&
-           measure_backend == other.measure_backend &&
-           measure_warmup == other.measure_warmup &&
-           measure_repeats_real == other.measure_repeats_real &&
-           compile_budget_ms == other.compile_budget_ms &&
-           measure_pin_cpu == other.measure_pin_cpu;
+    auto token = [](const std::string& s) { return s.empty() ? "-" : s; };
+    std::ostringstream os;
+    os << "section " << kFormatTag << " " << workload_hash << " "
+       << options.seed << " " << token(options.journal_label) << " "
+       << options.population << " " << options.generations << " "
+       << options.children_per_generation << " "
+       << options.measured_per_generation << " "
+       << options.use_cost_model << " "
+       << bitsOf(options.measure_overhead_us) << " "
+       << bitsOf(options.measure_repeats) << " "
+       // The measurement configuration is part of the identity: a
+       // journaled wall-clock trajectory must not be replayed into a
+       // run configured for a different backend or discipline.
+       << token(options.measure_backend) << " " << options.measure_warmup
+       << " " << options.measure_repeats_real << " "
+       << bitsOf(options.compile_budget_ms) << " "
+       << options.measure_pin_cpu;
+    return os.str();
 }
 
 const JournalSection*
-JournalContents::findSection(const JournalHeader& header) const
+JournalContents::findSection(const std::string& identity) const
 {
     for (auto it = sections.rbegin(); it != sections.rend(); ++it) {
-        if (it->header.matches(header)) return &*it;
+        if (it->identity == identity) return &*it;
     }
     return nullptr;
 }
@@ -396,12 +333,6 @@ resetJournal(const std::string& path)
     TIR_CHECK(out.good()) << "cannot open journal " << path;
 }
 
-JournalWriter::JournalWriter(const std::string& path) : path_(path)
-{
-    out_.open(path, std::ios::binary | std::ios::app);
-    TIR_CHECK(out_.good()) << "cannot open journal " << path;
-}
-
 JournalWriter::JournalWriter(const std::string& path, uint64_t resume_at)
     : path_(path)
 {
@@ -418,9 +349,9 @@ JournalWriter::JournalWriter(const std::string& path, uint64_t resume_at)
 }
 
 void
-JournalWriter::beginSection(const JournalHeader& header)
+JournalWriter::beginSection(const std::string& identity)
 {
-    appendRecord(headerBody(header));
+    appendRecord(identity + "\n");
 }
 
 void

@@ -5,14 +5,14 @@
  * so a crash mid-search loses at most the generation in flight.
  *
  * A journal file holds a sequence of *sections*, one per
- * `evolutionarySearch` run, each identified by a header (workload
- * hash, seed, label, search options). A section's records are state
- * checkpoints: record index 0 is the state after the initial random
- * population, index g+1 the state after evolution generation g. Each
- * record is framed by a trailing `crc <hex>` line (CRC-32 over the
- * record body), so a record torn by a crash mid-write — or corrupted
- * on disk — is detected and dropped on load rather than poisoning the
- * session.
+ * `evolutionarySearch` run, each identified by its identity line
+ * (journalIdentity: a format tag, the workload hash, seed, label and
+ * search options). A section's records are state checkpoints: record
+ * index 0 is the state after the initial random population, index g+1
+ * the state after evolution generation g. Each record is framed by a
+ * trailing `crc <hex>` line (CRC-32 over the record body), so a record
+ * torn by a crash mid-write — or corrupted on disk — is detected and
+ * dropped on load rather than poisoning the session.
  *
  * Recovery semantics: `readJournal` recovers every intact record up to
  * the first damaged one and reports how many record frames it dropped.
@@ -21,12 +21,12 @@
  * reopening in append mode, which is what makes resume-after-crash
  * produce a well-formed file again.
  *
- * Checkpoints capture exactly the cross-generation state of the
- * search — counters, best, history, the survivor population's decision
- * traces, and per-generation deltas of the training set and the
- * structural-hash memo. Because the search is deterministic for a
- * fixed seed (PR 1's replay contract), restoring that state and
- * re-running the remaining generations yields a `TuneResult`
+ * Checkpoints store the search's own types: the TuneCounters block,
+ * best, history, the survivor population's decision traces, and
+ * per-generation deltas of the training set and of the structural-hash
+ * memo (every MemoEntry added or changed since the last checkpoint).
+ * Because the search is deterministic for a fixed seed, restoring that
+ * state and re-running the remaining generations yields a `TuneResult`
  * byte-identical to an uninterrupted run; programs are re-derived from
  * decision traces instead of being serialized.
  *
@@ -44,40 +44,24 @@
 #include <vector>
 
 #include "meta/gbdt.h"
+#include "meta/memo.h"
+#include "meta/search.h"
 #include "tir/schedule.h"
 
 namespace tir {
 namespace meta {
 
-/** Identity of one search within a journal file. Resume only replays a
- *  section whose header matches exactly — a changed option or seed
- *  would make the journaled trajectory meaningless. */
-struct JournalHeader
-{
-    uint64_t workload_hash = 0;
-    uint64_t seed = 0;
-    /** Distinguishes multiple searches over the same workload in one
-     *  file (autoTune labels its sketch families). Single token, no
-     *  whitespace. */
-    std::string label;
-    int population = 0;
-    int generations = 0;
-    int children_per_generation = 0;
-    int measured_per_generation = 0;
-    bool use_cost_model = true;
-    double measure_overhead_us = 0;
-    double measure_repeats = 0;
-    /** Measurement backend ("" = analytical) and its timing-discipline
-     *  knobs. Part of the identity: a journaled wall-clock trajectory
-     *  is only meaningful to a resume configured identically. */
-    std::string measure_backend;
-    int measure_warmup = 0;
-    int measure_repeats_real = 0;
-    double compile_budget_ms = 0;
-    bool measure_pin_cpu = false;
-
-    bool matches(const JournalHeader& other) const;
-};
+/**
+ * Identity line of the section a search journals into: a format tag,
+ * the workload hash, seed, label (TuneOptions::journal_label, a single
+ * token) and every option that shapes the trajectory, doubles as exact
+ * bit patterns. Resume replays only a section whose identity matches
+ * byte for byte — a changed option or seed would make the journaled
+ * trajectory meaningless, and a journal of another format never
+ * matches, so its search starts fresh.
+ */
+std::string journalIdentity(uint64_t workload_hash,
+                            const TuneOptions& options);
 
 /** One survivor: decision trace + measured latency. The program itself
  *  is re-derived from the decisions on restore. */
@@ -94,99 +78,32 @@ struct JournalSample
     double target = 0;
 };
 
-/** One structural-hash memo entry added during a generation. */
-struct JournalMemoEntry
-{
-    uint64_t hash = 0;
-    bool measured = false;
-    /** Evaluation threw — duplicates reject identically (kRuntime). */
-    bool eval_failed = false;
-    FeatureVec features;
-    double latency_us = 0;
-    /** Committed measurement (NaN until `measured`). For a wall-clock
-     *  backend the journal is the only durable copy of this number —
-     *  replaying it is what makes resume byte-identical despite the
-     *  clock being non-replayable. */
-    double measured_latency_us = 0;
-    /** The native compile exceeded the per-candidate budget. */
-    bool compile_timed_out = false;
-    /** The isolated measurement worker crashed on this candidate.
-     *  Journaled so a resume rejects the duplicate identically instead
-     *  of re-running code known to kill its process. */
-    bool crashed = false;
-    /** The isolated measurement was timeout-killed on this candidate. */
-    bool hanged = false;
-    /** Device-constraint violation text; empty = valid estimate. */
-    std::string violation;
-};
-
-/** One measured-flag flip committed during a generation: the memo hash
- *  plus the latency (and compile-budget verdict) it committed. An
- *  entry added in an earlier generation can be measured later, so the
- *  flip must replay with its value for both memo_measure_hits and the
- *  measured trajectory to stay byte-identical across a resume. */
-struct JournalMeasured
-{
-    uint64_t hash = 0;
-    double latency_us = 0;
-    bool compile_timed_out = false;
-    /** Crash/hang classification committed with the measurement (see
-     *  JournalMemoEntry::crashed/hanged). */
-    bool crashed = false;
-    bool hanged = false;
-};
-
 /** State checkpoint after one completed generation. Counters are
- *  absolute (the search state at the end of the generation); samples,
- *  memo entries, and measured-flag flips are per-generation deltas. */
+ *  absolute (the search state at the end of the generation); samples
+ *  and memo entries are per-generation deltas. */
 struct JournalGeneration
 {
     /** 0 = after the initial population; g+1 = after generation g. */
     int index = 0;
-    int trials_measured = 0;
-    int measured_valid = 0;
-    int measured_invalid = 0;
-    int compile_timeout_filtered = 0;
-    int crash_filtered = 0;
-    int hang_filtered = 0;
-    int measure_fallbacks = 0;
-    int invalid_filtered = 0;
-    int race_filtered = 0;
-    int bounds_filtered = 0;
-    int runtime_filtered = 0;
-    int timeout_filtered = 0;
-    int numeric_filtered = 0;
-    int lint_filtered = 0;
-    int memo_hits = 0;
-    int memo_measure_hits = 0;
-    int model_fallbacks = 0;
+    TuneCounters counters;
     double tuning_cost_us = 0;
     double best_latency_us = std::numeric_limits<double>::infinity();
     std::vector<Decision> best_decisions;
     std::vector<double> history;
     std::vector<JournalIndividual> population;
     std::vector<JournalSample> new_samples;
-    std::vector<JournalMemoEntry> new_memo;
-    /** Measurements first committed this generation (see
-     *  JournalMeasured). */
-    std::vector<JournalMeasured> measured;
+    /** Memo entries added or changed this generation, by structural
+     *  hash. An entry measured generations after it was added appears
+     *  again with its measurement; restore keeps the last record. */
+    std::vector<std::pair<uint64_t, MemoEntry>> memo;
 };
 
 /** One search's records, in append order. */
 struct JournalSection
 {
-    JournalHeader header;
+    /** The journalIdentity line that opened the section. */
+    std::string identity;
     std::vector<JournalGeneration> generations;
-
-    /** All checkpoints present: initial population + every evolution
-     *  generation. A complete section replays to a final TuneResult
-     *  without re-running anything. */
-    bool
-    complete() const
-    {
-        return static_cast<int>(generations.size()) ==
-               header.generations + 1;
-    }
 };
 
 /** Parsed journal file plus recovery metadata. */
@@ -199,8 +116,8 @@ struct JournalContents
     /** Record frames dropped (checksum mismatch or truncation). */
     int records_dropped = 0;
 
-    /** Last section matching `header` (appends win), or nullptr. */
-    const JournalSection* findSection(const JournalHeader& header) const;
+    /** Last section with this identity (appends win), or nullptr. */
+    const JournalSection* findSection(const std::string& identity) const;
 };
 
 /** Read `path` tolerantly; a missing file yields empty contents. */
@@ -214,14 +131,13 @@ void resetJournal(const std::string& path);
 class JournalWriter
 {
   public:
-    /** Append at the current end of file (creating it if missing). */
-    explicit JournalWriter(const std::string& path);
     /** Truncate to `resume_at` (= JournalContents::valid_bytes, to
-     *  drop a torn tail), then open for appending. */
+     *  drop a torn tail), then open for appending (creating the file
+     *  if missing). */
     JournalWriter(const std::string& path, uint64_t resume_at);
 
-    /** Start a new section. */
-    void beginSection(const JournalHeader& header);
+    /** Start a new section with a journalIdentity line. */
+    void beginSection(const std::string& identity);
     /** Append one generation checkpoint to the open section. */
     void appendGeneration(const JournalGeneration& gen);
 

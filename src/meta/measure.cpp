@@ -135,16 +135,10 @@ JitMeasurer::measure(const PrimFunc& func,
         span.addArg(trace::arg("valid", int64_t{0}));
         return m;
     }
-    std::shared_ptr<const runtime::JitModule> module;
-    double compile_ms = 0;
-    // The CI escape hatch disables native code everywhere, including
-    // measurement: under TENSORIR_FORCE_TREEWALK this backend degrades
-    // to the analytical estimate like a missing toolchain would.
-    if (!runtime::forceTreeWalk()) {
-        auto compile_start = std::chrono::steady_clock::now();
-        module = runtime::jitCompile(func);
-        compile_ms = elapsedUs(compile_start) / 1000.0;
-    }
+    auto compile_start = std::chrono::steady_clock::now();
+    std::shared_ptr<const runtime::JitModule> module =
+        runtime::jitCompile(func);
+    double compile_ms = elapsedUs(compile_start) / 1000.0;
     if (!module) {
         // Native execution impossible (no toolchain, GPU thread
         // bindings, compiler failure): serve the analytical estimate

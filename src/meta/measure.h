@@ -17,8 +17,8 @@
  *    A per-candidate compile budget rejects kernels whose native
  *    compile ran too long (Measurement::compile_timeout). Candidates
  *    the native tier cannot run — GPU thread bindings, a missing
- *    toolchain, TENSORIR_FORCE_TREEWALK — fall back to the analytical
- *    estimate (Measurement::fallback) instead of failing the tune.
+ *    toolchain — fall back to the analytical estimate
+ *    (Measurement::fallback) instead of failing the tune.
  *
  * In both backends the device model stays the *validity* oracle: a
  * candidate whose estimate carries a constraint violation (the paper's
@@ -54,8 +54,8 @@ struct Measurement
      *  native execution). */
     double latency_us = std::numeric_limits<double>::infinity();
     /** The wall-clock backend served the analytical estimate instead
-     *  of timing native code (unsupported construct, no toolchain, or
-     *  TENSORIR_FORCE_TREEWALK). Always false for HwsimMeasurer. */
+     *  of timing native code (unsupported construct or no toolchain).
+     *  Always false for HwsimMeasurer. */
     bool fallback = false;
     /** The native compile exceeded MeasureConfig::compile_budget_ms.
      *  The candidate was rejected before any run; latency_us is

@@ -81,11 +81,14 @@ class MemoCache
         return it == entries_.end() ? nullptr : &it->second;
     }
 
-    /** Insert an entry (first writer wins); returns the stored entry. */
+    /** Insert or replace the entry for a hash; returns the stored
+     *  entry. (A journal restore replays an entry's later records over
+     *  its earlier ones.) */
     MemoEntry&
     insert(uint64_t hash, MemoEntry entry)
     {
-        return entries_.emplace(hash, std::move(entry)).first->second;
+        return entries_.insert_or_assign(hash, std::move(entry))
+            .first->second;
     }
 
     /** Number of structurally-distinct candidates evaluated. */

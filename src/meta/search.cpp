@@ -1,6 +1,5 @@
 #include "meta/search.h"
 
-#include "intrin/tensor_intrin.h"
 #include "ir/structural_hash.h"
 #include "meta/database.h"
 #include "meta/journal.h"
@@ -27,8 +26,10 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace tir {
 namespace meta {
@@ -101,28 +102,25 @@ resolveParallelism(const TuneOptions& options)
     return support::ThreadPool::hardwareParallelism();
 }
 
-namespace {
-
-/** Why an invalid candidate was rejected (for the filter counters). */
-enum class RejectKind : uint8_t
+TuneCounters&
+TuneCounters::operator+=(const TuneCounters& other)
 {
-    kNone,
-    /** Sketch application threw or threading validation failed. */
-    kStructure,
-    /** Static race analysis found a provable memory hazard. */
-    kRace,
-    /** Static bounds analysis found a provable out-of-bounds access. */
-    kBounds,
-    /** Instantiation or evaluation threw a non-FatalError exception
-     *  (std::bad_alloc, interpreter fuel exhaustion, injected fault).
-     *  Contained per candidate — never process death. */
-    kRuntime,
-    /** Abandoned because the stage watchdog expired first. */
-    kTimeout,
-    /** Dataflow lint found an error-severity use-before-init read
-     *  (only with TuneOptions::lint_filter). */
-    kLint,
-};
+    for (const Field& f : kFields) this->*f.member += other.*f.member;
+    return *this;
+}
+
+std::ostream&
+operator<<(std::ostream& os, const TuneCounters& counters)
+{
+    const char* sep = "";
+    for (const TuneCounters::Field& f : TuneCounters::kFields) {
+        os << sep << f.name << "=" << counters.*f.member;
+        sep = " ";
+    }
+    return os;
+}
+
+namespace {
 
 /** One candidate flowing through the per-generation pipeline. */
 struct Candidate
@@ -132,7 +130,7 @@ struct Candidate
     std::vector<Decision> overrides;
     // Instantiation outputs, filled by pool workers.
     bool valid = false;
-    RejectKind reject = RejectKind::kNone;
+    RejectKind reject = RejectKind::kInvalid;
     std::vector<Decision> decisions;
     PrimFunc func;
     uint64_t hash = 0;
@@ -140,26 +138,46 @@ struct Candidate
     MemoEntry* memo = nullptr;
 };
 
+/** Bump one counter and its "search.<name>" trace counter. */
+void
+bump(TuneCounters& counters, int TuneCounters::*member)
+{
+    for (const TuneCounters::Field& f : TuneCounters::kFields) {
+        if (f.member != member) continue;
+        ++(counters.*member);
+        trace::counterAdd(f.trace_name, 1);
+        return;
+    }
+}
+
+/** The kFields entry of a reject kind's counter. */
+const TuneCounters::Field&
+rejectField(RejectKind kind)
+{
+    return TuneCounters::kFields[static_cast<size_t>(kind)];
+}
+
+/** Count one rejected candidate under its kind's counter. */
+void
+reject(TuneCounters& counters, RejectKind kind)
+{
+    bump(counters, rejectField(kind).member);
+}
+
+/** Record a reject verdict on a candidate being instantiated; the trace
+ *  arg names the counter it will land in. */
+void
+markRejected(Candidate& cand, trace::Span& span, RejectKind kind)
+{
+    cand.reject = kind;
+    span.addArg(trace::arg("reject", std::string(rejectField(kind).name)));
+}
+
 /**
  * Instantiate a sketch with decision overrides. Pure function of the
  * candidate (the workload IR is immutable and the sketch applier
  * captures only read-only state), so it runs on any pool thread.
  */
-/** Reject-kind label for trace args. */
-const char*
-rejectName(RejectKind reject)
-{
-    switch (reject) {
-      case RejectKind::kStructure: return "structure";
-      case RejectKind::kRace: return "race";
-      case RejectKind::kBounds: return "bounds";
-      case RejectKind::kRuntime: return "runtime";
-      case RejectKind::kTimeout: return "timeout";
-      case RejectKind::kLint: return "lint";
-      default: return "none";
-    }
-}
-
 void
 instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
                      bool lint_filter, Candidate& cand)
@@ -179,8 +197,7 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
         // schedule fails the *same candidates* at every parallelism
         // setting (the determinism contract survives injection).
         if (failpoint::inject("search.instantiate", cand.schedule_seed)) {
-            cand.reject = RejectKind::kRuntime;
-            span.addArg(trace::arg("reject", std::string("runtime")));
+            markRejected(cand, span, RejectKind::kRuntime);
             return;
         }
         sketch(sch);
@@ -188,8 +205,7 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
         // they reach a measurement.
         VerifyResult threads = verifyThreadBindings(sch.func());
         if (!threads.ok) {
-            cand.reject = RejectKind::kStructure;
-            span.addArg(trace::arg("reject", std::string("structure")));
+            markRejected(cand, span, RejectKind::kInvalid);
             return;
         }
         // Static memory analysis on the lowered program: candidates
@@ -219,12 +235,10 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
                 static_cast<int64_t>(report.diagnostics.size())));
         }
         if (!report.ok()) {
-            cand.reject =
-                report.hasError(analysis::DiagKind::kOutOfBounds)
-                    ? RejectKind::kBounds
-                    : RejectKind::kRace;
-            span.addArg(trace::arg("reject",
-                                   std::string(rejectName(cand.reject))));
+            markRejected(cand, span,
+                         report.hasError(analysis::DiagKind::kOutOfBounds)
+                             ? RejectKind::kBounds
+                             : RejectKind::kRace);
             return;
         }
         // Dataflow lint gate (opt-in): only the error-severity
@@ -240,9 +254,7 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
                 "diagnostics",
                 static_cast<int64_t>(lint.diagnostics.size())));
             if (lint.hasError(analysis::DiagKind::kUseBeforeInit)) {
-                cand.reject = RejectKind::kLint;
-                span.addArg(trace::arg("reject",
-                                       std::string("lint")));
+                markRejected(cand, span, RejectKind::kLint);
                 return;
             }
         }
@@ -251,11 +263,9 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
         cand.hash = structuralHash(cand.func);
         cand.valid = true;
     } catch (const FatalError&) {
-        cand.reject = RejectKind::kStructure;
-        span.addArg(trace::arg("reject", std::string("structure")));
+        markRejected(cand, span, RejectKind::kInvalid);
     } catch (const std::exception&) {
-        cand.reject = RejectKind::kRuntime;
-        span.addArg(trace::arg("reject", std::string("runtime")));
+        markRejected(cand, span, RejectKind::kRuntime);
     }
 }
 
@@ -292,38 +302,6 @@ mutate(const std::vector<Decision>& decisions, Rng& rng)
         }
     }
     return result;
-}
-
-/** Fold one rejected candidate into the filter counters. */
-void
-countReject(TuneResult& result, RejectKind reject)
-{
-    switch (reject) {
-      case RejectKind::kRace:
-        ++result.race_filtered;
-        trace::counterAdd("search.race_filtered", 1);
-        break;
-      case RejectKind::kBounds:
-        ++result.bounds_filtered;
-        trace::counterAdd("search.bounds_filtered", 1);
-        break;
-      case RejectKind::kRuntime:
-        ++result.runtime_filtered;
-        trace::counterAdd("search.runtime_filtered", 1);
-        break;
-      case RejectKind::kTimeout:
-        ++result.timeout_filtered;
-        trace::counterAdd("search.timeout_filtered", 1);
-        break;
-      case RejectKind::kLint:
-        ++result.lint_filtered;
-        trace::counterAdd("search.lint_filtered", 1);
-        break;
-      default:
-        ++result.invalid_filtered;
-        trace::counterAdd("search.invalid_filtered", 1);
-        break;
-    }
 }
 
 /** A measured survivor in the population. */
@@ -446,10 +424,6 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     std::unique_ptr<MeasureBackend> measurer = makeMeasureBackend(
         options.measure_backend, workload, measure_config);
     result.parallelism_used = resolveParallelism(options);
-    // Touch the intrinsic registry before spawning workers: its lazy
-    // builtin registration is the one piece of mutable global state the
-    // sketch appliers read.
-    TensorIntrin::list();
     std::optional<support::ThreadPool> pool_storage;
     support::ThreadPool* pool = nullptr;
     if (result.parallelism_used > 1) {
@@ -464,11 +438,14 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     std::vector<Individual> population;
     result.timings.watchdog_timeout_s = options.stage_timeout_s;
 
-    // Checkpoint-journal bookkeeping: what changed since the last
-    // checkpoint (per-generation deltas keep the records small).
+    // Checkpoint journal (opened below) and what changed since its last
+    // checkpoint: per-generation deltas keep the records small.
+    std::optional<JournalWriter> journal;
     size_t journal_samples_flushed = 0;
-    std::vector<uint64_t> journal_new_memo;
-    std::vector<JournalMeasured> journal_measured;
+    std::vector<uint64_t> journal_dirty_memo;
+    auto markDirty = [&](uint64_t hash) {
+        if (journal) journal_dirty_memo.push_back(hash);
+    };
 
     auto forEach = [&](size_t n, const std::function<void(size_t)>& fn) {
         if (pool) {
@@ -510,8 +487,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                 const Candidate& c = batch[i];
                 if (!c.valid) continue;
                 if (memo.find(c.hash) || pending.count(c.hash)) {
-                    ++result.memo_hits;
-                    trace::counterAdd("search.memo_hits", 1);
+                    bump(result, &TuneCounters::memo_hits);
                 } else {
                     pending.emplace(c.hash, true);
                     fresh.push_back(i);
@@ -567,7 +543,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                 if (timed_out[j]) continue;
                 uint64_t hash = batch[fresh[j]].hash;
                 memo.insert(hash, std::move(fresh_entries[j]));
-                journal_new_memo.push_back(hash);
+                markDirty(hash);
             }
             for (Candidate& c : batch) {
                 if (!c.valid) continue;
@@ -600,8 +576,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     auto commitMeasurement = [&](const Candidate& cand) -> double {
         MemoEntry* entry = cand.memo;
         if (entry->measured) {
-            ++result.memo_measure_hits;
-            trace::counterAdd("search.memo_measure_hits", 1);
+            bump(result, &TuneCounters::memo_measure_hits);
         } else {
             Measurement m;
             {
@@ -609,10 +584,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                     "search.measure_real", result.timings.measure_s);
                 m = measurer->measure(cand.func, entry->estimate);
             }
-            if (m.fallback) {
-                ++result.measure_fallbacks;
-                trace::counterAdd("search.measure_fallbacks", 1);
-            }
+            if (m.fallback) bump(result, &TuneCounters::measure_fallbacks);
             entry->measured = true;
             entry->compile_timed_out = m.compile_timeout;
             entry->crashed = m.crashed;
@@ -620,42 +592,24 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             entry->measured_latency_us = m.latency_us;
             // The flip can land generations after the entry was
             // journaled, and for a wall-clock backend the committed
-            // latency exists nowhere but here; recording both keeps
-            // memo_measure_hits *and* the measured trajectory exact
-            // across a checkpoint resume.
-            journal_measured.push_back(
-                {cand.hash, entry->measured_latency_us,
-                 entry->compile_timed_out, entry->crashed,
-                 entry->hanged});
+            // latency exists nowhere but here; journaling the entry
+            // again keeps memo_measure_hits *and* the measured
+            // trajectory exact across a checkpoint resume.
+            markDirty(cand.hash);
         }
-        if (entry->compile_timed_out) {
-            // Over the per-candidate compile budget: rejected before
-            // any run happened, so this is *not* a trial — no
-            // measurement was performed to charge. Duplicates reject
-            // identically from the memo without re-compiling.
-            ++result.compile_timeout_filtered;
-            trace::counterAdd("search.compile_timeout_filtered", 1);
+        // Over the compile budget, crashed, or timeout-killed: no run
+        // produced a latency, so this is *not* a trial. Duplicates
+        // reject identically from the memo without re-compiling,
+        // re-running code known to kill its process, or hanging another
+        // worker for the full timeout.
+        if (entry->compile_timed_out || entry->crashed || entry->hanged) {
+            reject(result, entry->compile_timed_out
+                               ? RejectKind::kCompileTimeout
+                           : entry->crashed ? RejectKind::kCrash
+                                            : RejectKind::kHang);
             return std::numeric_limits<double>::infinity();
         }
-        if (entry->crashed) {
-            // The isolated worker died running this kernel. No usable
-            // measurement exists to charge as a trial; duplicates
-            // reject from the memo without re-running code known to
-            // kill its process (never retry a deterministic crash).
-            ++result.crash_filtered;
-            trace::counterAdd("search.crash_filtered", 1);
-            return std::numeric_limits<double>::infinity();
-        }
-        if (entry->hanged) {
-            // Timeout-killed: the kernel never produced a latency, so
-            // this is not a trial either; duplicates reject without
-            // hanging another worker for the full timeout.
-            ++result.hang_filtered;
-            trace::counterAdd("search.hang_filtered", 1);
-            return std::numeric_limits<double>::infinity();
-        }
-        ++result.trials_measured;
-        trace::counterAdd("search.trials_measured", 1);
+        bump(result, &TuneCounters::trials_measured);
         // Charge compile+launch always; run repetitions only for
         // programs the measurement accepts (a rejected one has latency
         // infinity, which would poison the simulated total).
@@ -671,14 +625,13 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             // charged measure_overhead_us, just no run repetitions.
             // The reject is also counted in invalid_filtered so that
             // Table 1 column keeps its historical meaning.
-            ++result.measured_invalid;
-            ++result.invalid_filtered;
-            trace::counterAdd("search.invalid_filtered", 1);
+            bump(result, &TuneCounters::measured_invalid);
+            reject(result, RejectKind::kInvalid);
             trace::instant("search.measure",
                            trace::arg("valid", int64_t{0}));
             return std::numeric_limits<double>::infinity();
         }
-        ++result.measured_valid;
+        bump(result, &TuneCounters::measured_valid);
         result.tuning_cost_us += latency * options.measure_repeats;
         trace::instant("search.measure",
                        trace::arg("latency_us", latency));
@@ -697,8 +650,9 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     // Lazily built on first use: seeded inputs plus the unscheduled
     // workload's outputs from the tree-walking reference interpreter.
     // Checked candidates re-run on copies of the same inputs through
-    // runtime::execute (the bytecode VM unless TENSORIR_FORCE_TREEWALK
-    // overrides) and must agree within numeric_check_tolerance.
+    // runtime::execute (the engine TuneOptions::engine or
+    // TENSORIR_ENGINE selects) and must agree within
+    // numeric_check_tolerance.
     std::vector<runtime::NDArray> oracle_inputs;
     std::vector<runtime::NDArray> oracle_outputs;
     int oracle_state = 0; // 0 = unbuilt, 1 = ready, -1 = unavailable
@@ -783,76 +737,32 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
         if (checked >= options.numeric_check_topk) return true;
         ++checked;
         NumericVerdict verdict = numericCheck(cand);
-        if (verdict == NumericVerdict::kMismatch) {
-            ++result.numeric_filtered;
-            trace::counterAdd("search.numeric_filtered", 1);
-            return false;
-        }
-        if (verdict == NumericVerdict::kError) {
-            ++result.runtime_filtered;
-            trace::counterAdd("search.runtime_filtered", 1);
-            return false;
-        }
-        return true;
+        if (verdict == NumericVerdict::kOk) return true;
+        reject(result, verdict == NumericVerdict::kMismatch
+                           ? RejectKind::kNumeric
+                           : RejectKind::kRuntime);
+        return false;
     };
 
     // --- Crash-safe checkpointing (meta/journal.h) -------------------
-    std::optional<JournalWriter> journal;
     bool restored = false;
     int start_gen = 0;
     if (!options.journal_path.empty()) {
-        JournalHeader header;
-        header.workload_hash = structuralHash(workload);
-        header.seed = options.seed;
-        header.label = options.journal_label;
-        header.population = options.population;
-        header.generations = options.generations;
-        header.children_per_generation =
-            options.children_per_generation;
-        header.measured_per_generation =
-            options.measured_per_generation;
-        header.use_cost_model = options.use_cost_model;
-        header.measure_overhead_us = options.measure_overhead_us;
-        header.measure_repeats = options.measure_repeats;
-        // The measurement configuration is part of the identity: a
-        // journaled wall-clock trajectory must not be replayed into a
-        // run configured for a different backend or discipline.
-        header.measure_backend = options.measure_backend;
-        header.measure_warmup = options.measure_warmup;
-        header.measure_repeats_real = options.measure_repeats_real;
-        header.compile_budget_ms = options.compile_budget_ms;
-        header.measure_pin_cpu = options.measure_pin_cpu;
-
+        const std::string identity =
+            journalIdentity(structuralHash(workload), options);
         JournalContents contents = readJournal(options.journal_path);
         // Reopen past the last intact record: a torn trailing frame
         // left by a crash is truncated away before appending.
         journal.emplace(options.journal_path, contents.valid_bytes);
         const JournalSection* section =
-            options.resume ? contents.findSection(header) : nullptr;
+            options.resume ? contents.findSection(identity) : nullptr;
         if (section && !section->generations.empty()) {
             // Restore the cross-generation search state as of the last
             // completed checkpoint. Because the search is deterministic
             // for a fixed seed, re-running the remaining generations
             // from this state reproduces the uninterrupted run exactly.
             const JournalGeneration& last = section->generations.back();
-            result.trials_measured = last.trials_measured;
-            result.measured_valid = last.measured_valid;
-            result.measured_invalid = last.measured_invalid;
-            result.compile_timeout_filtered =
-                last.compile_timeout_filtered;
-            result.crash_filtered = last.crash_filtered;
-            result.hang_filtered = last.hang_filtered;
-            result.measure_fallbacks = last.measure_fallbacks;
-            result.invalid_filtered = last.invalid_filtered;
-            result.race_filtered = last.race_filtered;
-            result.bounds_filtered = last.bounds_filtered;
-            result.runtime_filtered = last.runtime_filtered;
-            result.timeout_filtered = last.timeout_filtered;
-            result.numeric_filtered = last.numeric_filtered;
-            result.lint_filtered = last.lint_filtered;
-            result.memo_hits = last.memo_hits;
-            result.memo_measure_hits = last.memo_measure_hits;
-            result.model_fallbacks = last.model_fallbacks;
+            result.counters() = last.counters;
             result.tuning_cost_us = last.tuning_cost_us;
             result.best_latency_us = last.best_latency_us;
             result.best_decisions = last.best_decisions;
@@ -871,31 +781,12 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                     train_x.push_back(s.features);
                     train_y.push_back(s.target);
                 }
-                for (const JournalMemoEntry& m : g.new_memo) {
-                    MemoEntry e;
-                    e.features = m.features;
-                    e.estimate.latency_us = m.latency_us;
-                    e.estimate.violation = m.violation;
-                    e.measured = m.measured;
-                    e.measured_latency_us = m.measured_latency_us;
-                    e.compile_timed_out = m.compile_timed_out;
-                    e.crashed = m.crashed;
-                    e.hanged = m.hanged;
-                    e.eval_failed = m.eval_failed;
-                    memo.insert(m.hash, std::move(e));
-                }
-                // Replay measurements committed after the entry was
-                // journaled. For a wall-clock backend these recorded
-                // latencies are the ground truth a resume runs on —
-                // the kernel is never re-timed.
-                for (const JournalMeasured& jm : g.measured) {
-                    if (MemoEntry* e = memo.find(jm.hash)) {
-                        e->measured = true;
-                        e->measured_latency_us = jm.latency_us;
-                        e->compile_timed_out = jm.compile_timed_out;
-                        e->crashed = jm.crashed;
-                        e->hanged = jm.hanged;
-                    }
+                // An entry measured after it was first journaled was
+                // journaled again; the later record wins. For a
+                // wall-clock backend its latency is the ground truth a
+                // resume runs on — the kernel is never re-timed.
+                for (const auto& [hash, entry] : g.memo) {
+                    memo.insert(hash, entry);
                 }
             }
             journal_samples_flushed = train_x.size();
@@ -913,7 +804,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             // Re-write the restored section: later records must follow
             // their own header for the file to stay parseable, and
             // another section may have been appended since the crash.
-            journal->beginSection(header);
+            journal->beginSection(identity);
             for (const JournalGeneration& g : section->generations) {
                 journal->appendGeneration(g);
             }
@@ -923,7 +814,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                            static_cast<int64_t>(
                                result.generations_replayed)));
         } else {
-            journal->beginSection(header);
+            journal->beginSection(identity);
         }
     }
 
@@ -954,23 +845,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
         failpoint::inject("search.checkpoint");
         JournalGeneration g;
         g.index = index;
-        g.trials_measured = result.trials_measured;
-        g.measured_valid = result.measured_valid;
-        g.measured_invalid = result.measured_invalid;
-        g.compile_timeout_filtered = result.compile_timeout_filtered;
-        g.crash_filtered = result.crash_filtered;
-        g.hang_filtered = result.hang_filtered;
-        g.measure_fallbacks = result.measure_fallbacks;
-        g.invalid_filtered = result.invalid_filtered;
-        g.race_filtered = result.race_filtered;
-        g.bounds_filtered = result.bounds_filtered;
-        g.runtime_filtered = result.runtime_filtered;
-        g.timeout_filtered = result.timeout_filtered;
-        g.numeric_filtered = result.numeric_filtered;
-        g.lint_filtered = result.lint_filtered;
-        g.memo_hits = result.memo_hits;
-        g.memo_measure_hits = result.memo_measure_hits;
-        g.model_fallbacks = result.model_fallbacks;
+        g.counters = result.counters();
         g.tuning_cost_us = result.tuning_cost_us;
         g.best_latency_us = result.best_latency_us;
         g.best_decisions = result.best_decisions;
@@ -983,24 +858,13 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             g.new_samples.push_back({train_x[i], train_y[i]});
         }
         journal_samples_flushed = train_x.size();
-        for (uint64_t h : journal_new_memo) {
-            MemoEntry* e = memo.find(h);
-            JournalMemoEntry m;
-            m.hash = h;
-            m.measured = e->measured;
-            m.eval_failed = e->eval_failed;
-            m.features = e->features;
-            m.latency_us = e->estimate.latency_us;
-            m.measured_latency_us = e->measured_latency_us;
-            m.compile_timed_out = e->compile_timed_out;
-            m.crashed = e->crashed;
-            m.hanged = e->hanged;
-            m.violation = e->estimate.violation;
-            g.new_memo.push_back(std::move(m));
+        std::unordered_set<uint64_t> written;
+        for (uint64_t hash : journal_dirty_memo) {
+            if (written.insert(hash).second) {
+                g.memo.emplace_back(hash, *memo.find(hash));
+            }
         }
-        g.measured = std::move(journal_measured);
-        journal_new_memo.clear();
-        journal_measured.clear();
+        journal_dirty_memo.clear();
         journal->appendGeneration(g);
         trace::instant("search.checkpoint",
                        trace::arg("gen", static_cast<int64_t>(index)));
@@ -1042,7 +906,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             // population is full — so the filter counters keep the
             // serial meaning of "attempts that failed validation".
             if (!c.valid) {
-                countReject(result, c.reject);
+                reject(result, c.reject);
                 continue;
             }
             if (static_cast<int>(population.size()) >=
@@ -1088,8 +952,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             if (fit_ok) {
                 cost_model = std::move(refit);
             } else {
-                ++result.model_fallbacks;
-                trace::counterAdd("search.model_fallbacks", 1);
+                bump(result, &TuneCounters::model_fallbacks);
                 trace::instant(
                     "search.model_fallback",
                     trace::arg("gen", static_cast<int64_t>(gen)));
@@ -1125,7 +988,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                 if (batch[i].valid) {
                     children.push_back(i);
                 } else {
-                    countReject(result, batch[i].reject);
+                    reject(result, batch[i].reject);
                 }
             }
         }
@@ -1230,25 +1093,9 @@ namespace {
 void
 accumulate(TuneResult& into, const TuneResult& from)
 {
-    into.trials_measured += from.trials_measured;
-    into.measured_valid += from.measured_valid;
-    into.measured_invalid += from.measured_invalid;
-    into.compile_timeout_filtered += from.compile_timeout_filtered;
-    into.crash_filtered += from.crash_filtered;
-    into.hang_filtered += from.hang_filtered;
-    into.measure_fallbacks += from.measure_fallbacks;
-    into.invalid_filtered += from.invalid_filtered;
-    into.race_filtered += from.race_filtered;
-    into.bounds_filtered += from.bounds_filtered;
-    into.runtime_filtered += from.runtime_filtered;
-    into.timeout_filtered += from.timeout_filtered;
-    into.numeric_filtered += from.numeric_filtered;
-    into.lint_filtered += from.lint_filtered;
-    into.model_fallbacks += from.model_fallbacks;
+    into.counters() += from.counters();
     into.generations_replayed += from.generations_replayed;
     into.tuning_cost_us += from.tuning_cost_us;
-    into.memo_hits += from.memo_hits;
-    into.memo_measure_hits += from.memo_measure_hits;
     into.timings.generate_s += from.timings.generate_s;
     into.timings.evaluate_s += from.timings.evaluate_s;
     into.timings.model_s += from.timings.model_s;

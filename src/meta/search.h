@@ -12,7 +12,7 @@
  *
  * Determinism contract: for a fixed `TuneOptions::seed`, tuning results
  * — `best_decisions`, `best_latency_us`, `best_sketch`, `history`,
- * `trials_measured`, memo hit counts — are byte-identical for every
+ * every TuneCounters counter — are byte-identical for every
  * value of `TuneOptions::parallelism` (1, 4, hardware_concurrency, …).
  * This holds because each candidate's RNG is derived from
  * (seed, generation, child_index) via Rng::derive instead of a shared
@@ -32,6 +32,7 @@
 #define TENSORIR_META_SEARCH_H
 
 #include <functional>
+#include <iosfwd>
 
 #include "hwsim/device.h"
 #include "meta/auto_tensorize.h"
@@ -112,8 +113,8 @@ struct TuneOptions
      * median-of-k repeats on std::chrono::steady_clock. The device
      * model remains the validity oracle either way; under "jit",
      * candidates the native tier cannot run (GPU thread bindings,
-     * missing toolchain, TENSORIR_FORCE_TREEWALK) fall back to the
-     * analytical estimate, counted in TuneResult::measure_fallbacks.
+     * missing toolchain) fall back to the analytical estimate, counted
+     * in TuneResult::measure_fallbacks.
      * A malformed name raises FatalError up front.
      */
     std::string measure_backend;
@@ -198,8 +199,7 @@ struct TuneOptions
      * `numeric_check_topk` cheap enough to run on every measured
      * candidate: each distinct kernel compiles to native code once and
      * the per-run cost collapses to a function call. A malformed name
-     * raises FatalError up front; TENSORIR_FORCE_TREEWALK still
-     * overrides whatever is requested here.
+     * raises FatalError up front. Set, it overrides TENSORIR_ENGINE.
      */
     std::string engine;
     /**
@@ -250,8 +250,157 @@ struct TuneOptions
     std::string trace_path;
 };
 
-/** Outcome of a tuning run. */
-struct TuneResult
+/**
+ * Why the search dropped a candidate (§3.3's validation, plus the
+ * search's own containment of failing candidates). Each kind has one
+ * `*_filtered` counter in TuneCounters, at the same index of
+ * TuneCounters::kFields.
+ */
+enum class RejectKind : uint8_t
+{
+    /** Structural: sketch application threw FatalError, threading
+     *  validation failed, or the measurement found a device-constraint
+     *  violation. */
+    kInvalid,
+    /** Static race analysis found a provable memory hazard. */
+    kRace,
+    /** Static bounds analysis found a provable out-of-bounds access. */
+    kBounds,
+    /** Instantiation, evaluation or the numeric check threw a
+     *  non-FatalError exception (std::bad_alloc, interpreter fuel
+     *  exhaustion, an injected fault). */
+    kRuntime,
+    /** Abandoned because the stage watchdog expired first. */
+    kTimeout,
+    /** Dataflow lint found an error-severity use-before-init read. */
+    kLint,
+    /** The numeric spot-check diverged from the reference. */
+    kNumeric,
+    /** The native compile exceeded its per-candidate budget. */
+    kCompileTimeout,
+    /** The isolated measurement worker died running the kernel. */
+    kCrash,
+    /** The isolated measurement hit the hard timeout and was killed. */
+    kHang,
+};
+
+/** Number of RejectKind values. */
+inline constexpr size_t kNumRejectKinds = 10;
+
+/**
+ * The search's accounting: one int per reject kind plus the trial,
+ * memo and fallback counts. Every consumer — accumulation, the
+ * checkpoint journal, equality, the reports — iterates kFields, so a
+ * new counter is one member plus one table entry. The search bumps
+ * each one together with the trace counter "search.<name>".
+ */
+struct TuneCounters
+{
+    /** Structural rejects (RejectKind::kInvalid), including programs
+     *  the measurement rejected (also counted in measured_invalid). */
+    int invalid_filtered = 0;
+    /** Provable cross-thread write-write or unsynchronized
+     *  read-after-write hazards in the lowered program. */
+    int race_filtered = 0;
+    /** Provable out-of-bounds accesses. */
+    int bounds_filtered = 0;
+    /** Contained non-FatalError exceptions (std::bad_alloc, injected
+     *  faults, interpreter fuel exhaustion, …). */
+    int runtime_filtered = 0;
+    /** Abandoned by the stage watchdog (TuneOptions::stage_timeout_s). */
+    int timeout_filtered = 0;
+    /** Error-severity TIR-L001 use-before-init reads (only with
+     *  TuneOptions::lint_filter). */
+    int lint_filtered = 0;
+    /** Numeric spot-check divergences beyond
+     *  TuneOptions::numeric_check_tolerance. */
+    int numeric_filtered = 0;
+    /** Native compiles over TuneOptions::compile_budget_ms (wall-clock
+     *  backends). Rejected before any run, so *not* trials. */
+    int compile_timeout_filtered = 0;
+    /** Isolated measurement workers that died of a fatal signal or
+     *  nonzero exit on the candidate's kernel (Measurement::crashed).
+     *  Not trials; structural duplicates reject from the memo without
+     *  re-running the crashing kernel. */
+    int crash_filtered = 0;
+    /** Isolated measurements SIGKILLed at the hard wall-clock timeout
+     *  (Measurement::hanged). Not trials. */
+    int hang_filtered = 0;
+    int trials_measured = 0;
+    /** Trials whose measurement committed a finite latency.
+     *  `trials_measured == measured_valid + measured_invalid` holds for
+     *  every backend — the regression-tested Table 1 accounting
+     *  invariant (see commitMeasurement in search.cpp). */
+    int measured_valid = 0;
+    /** Trials rejected at measurement time: a device-constraint
+     *  violation, or (wall-clock backends) a failed native execution. */
+    int measured_invalid = 0;
+    /** Measurements the wall-clock backend served from the analytical
+     *  model instead of native timing (unsupported construct or
+     *  missing toolchain). */
+    int measure_fallbacks = 0;
+    /** Cost-model retrains that failed (threw, or produced a non-finite
+     *  loss) and fell back to the last good model. */
+    int model_fallbacks = 0;
+    /** Candidates whose features/estimate came from the structural-hash
+     *  memo instead of being recomputed (duplicate schedules). */
+    int memo_hits = 0;
+    /** Measurements served from the memo because a structurally
+     *  identical candidate was already measured (nothing re-run; the
+     *  simulated profiling cost is still charged so the Table 1
+     *  accounting stays comparable across personas). */
+    int memo_measure_hits = 0;
+
+    /** A counter's name, its trace counter ("search.<name>") and its
+     *  member. */
+    struct Field
+    {
+        const char* name;
+        const char* trace_name;
+        int TuneCounters::*member;
+    };
+    /** Every counter, in declaration order; the first kNumRejectKinds
+     *  entries are the reject counters in RejectKind order. */
+    static const Field kFields[17];
+
+    TuneCounters& operator+=(const TuneCounters& other);
+    bool operator==(const TuneCounters&) const = default;
+};
+
+#define TIR_TUNE_COUNTER(field)                                           \
+    {#field, "search." #field, &TuneCounters::field}
+inline constexpr TuneCounters::Field TuneCounters::kFields[17] = {
+    TIR_TUNE_COUNTER(invalid_filtered),
+    TIR_TUNE_COUNTER(race_filtered),
+    TIR_TUNE_COUNTER(bounds_filtered),
+    TIR_TUNE_COUNTER(runtime_filtered),
+    TIR_TUNE_COUNTER(timeout_filtered),
+    TIR_TUNE_COUNTER(lint_filtered),
+    TIR_TUNE_COUNTER(numeric_filtered),
+    TIR_TUNE_COUNTER(compile_timeout_filtered),
+    TIR_TUNE_COUNTER(crash_filtered),
+    TIR_TUNE_COUNTER(hang_filtered),
+    TIR_TUNE_COUNTER(trials_measured),
+    TIR_TUNE_COUNTER(measured_valid),
+    TIR_TUNE_COUNTER(measured_invalid),
+    TIR_TUNE_COUNTER(measure_fallbacks),
+    TIR_TUNE_COUNTER(model_fallbacks),
+    TIR_TUNE_COUNTER(memo_hits),
+    TIR_TUNE_COUNTER(memo_measure_hits),
+};
+#undef TIR_TUNE_COUNTER
+static_assert(TuneCounters::kFields[static_cast<size_t>(RejectKind::kHang)]
+                      .member == &TuneCounters::hang_filtered &&
+                  kNumRejectKinds ==
+                      static_cast<size_t>(RejectKind::kHang) + 1,
+              "reject counters must lead kFields in RejectKind order");
+
+/** "name=value" for every counter (gtest failure messages, logs). */
+std::ostream& operator<<(std::ostream& os, const TuneCounters& counters);
+
+/** Outcome of a tuning run. The counters live in the TuneCounters
+ *  base, so callers read `result.race_filtered` and friends directly. */
+struct TuneResult : TuneCounters
 {
     PrimFunc best_func;
     double best_latency_us = std::numeric_limits<double>::infinity();
@@ -259,69 +408,6 @@ struct TuneResult
     std::vector<Decision> best_decisions;
     /** Sketch family of the winner ("tensor" or "loop"). */
     std::string best_sketch;
-    int trials_measured = 0;
-    /** Trials whose measurement committed a finite latency.
-     *  Incremented at the same fold point as trials_measured, so
-     *  `trials_measured == measured_valid + measured_invalid` holds
-     *  for every backend — the regression-tested Table 1 accounting
-     *  invariant (see commitMeasurement in search.cpp). */
-    int measured_valid = 0;
-    /** Trials rejected at measurement time: a device-constraint
-     *  violation, or (wall-clock backends) a failed native execution.
-     *  Each is also counted in invalid_filtered, preserving that
-     *  column's historical Table 1 meaning. */
-    int measured_invalid = 0;
-    /** Candidates rejected because their native compile exceeded
-     *  TuneOptions::compile_budget_ms (wall-clock backends only).
-     *  Rejected before any run, so *not* counted as trials. */
-    int compile_timeout_filtered = 0;
-    /** Candidates rejected because the isolated measurement worker died
-     *  of a fatal signal or nonzero exit while running their kernel
-     *  (Measurement::crashed). Rejected before commit, so *not* counted
-     *  as trials; structural duplicates reject here from the memo
-     *  without re-running the crashing kernel. Only populated under
-     *  measure_backend="jit" with isolation active. */
-    int crash_filtered = 0;
-    /** Candidates rejected because their isolated measurement exceeded
-     *  the hard wall-clock timeout and the worker was SIGKILLed
-     *  (Measurement::hanged) — the timeout that covers native hangs the
-     *  cooperative stage watchdog cannot interrupt. Not counted as
-     *  trials. */
-    int hang_filtered = 0;
-    /** Measurements the wall-clock backend served from the analytical
-     *  model instead of native timing (unsupported construct, missing
-     *  toolchain, or TENSORIR_FORCE_TREEWALK). */
-    int measure_fallbacks = 0;
-    int invalid_filtered = 0;
-    /** Candidates rejected by the static race analysis (a provable
-     *  cross-thread write-write or unsynchronized read-after-write
-     *  hazard in the lowered program), before any measurement. Counted
-     *  separately from invalid_filtered so Table 1 can report how many
-     *  sketches each workload loses to memory hazards. */
-    int race_filtered = 0;
-    /** Candidates rejected by the static bounds analysis (an access
-     *  provably outside its buffer's declared shape). */
-    int bounds_filtered = 0;
-    /** Candidates whose instantiation or evaluation threw a
-     *  non-FatalError exception (std::bad_alloc, injected faults,
-     *  interpreter fuel exhaustion, …). Contained per candidate and
-     *  counted here instead of killing the process. */
-    int runtime_filtered = 0;
-    /** Candidates abandoned because the stage watchdog expired before
-     *  they were processed (only with TuneOptions::stage_timeout_s). */
-    int timeout_filtered = 0;
-    /** Candidates rejected by the dataflow lint filter (an
-     *  error-severity TIR-L001 use-before-init read). Only populated
-     *  with TuneOptions::lint_filter. */
-    int lint_filtered = 0;
-    /** Candidates rejected by the numeric spot-check: their VM
-     *  execution diverged from the tree-walked reference beyond
-     *  TuneOptions::numeric_check_tolerance. Only populated with
-     *  numeric_check_topk > 0. */
-    int numeric_filtered = 0;
-    /** Cost-model retrains that failed (threw, or produced a non-finite
-     *  loss) and fell back to the last good model. */
-    int model_fallbacks = 0;
     /** Generations restored from the checkpoint journal instead of
      *  re-run (only with TuneOptions::resume). */
     int generations_replayed = 0;
@@ -331,15 +417,6 @@ struct TuneResult
     std::vector<double> history;
     /** True when the result was replayed from a database record. */
     bool from_database = false;
-
-    /** Candidates whose features/estimate came from the structural-hash
-     *  memo instead of being recomputed (duplicate schedules). */
-    int memo_hits = 0;
-    /** Measurements whose estimate was served from the memo because a
-     *  structurally identical candidate was already measured (nothing
-     *  re-run; the simulated profiling cost is still charged so the
-     *  Table 1 accounting stays comparable across personas). */
-    int memo_measure_hits = 0;
     /** Threads the pipeline actually used (resolved parallelism). */
     int parallelism_used = 1;
 
@@ -376,6 +453,9 @@ struct TuneResult
         int watchdog_overruns = 0;
     };
     StageTimings timings;
+
+    TuneCounters& counters() { return *this; }
+    const TuneCounters& counters() const { return *this; }
 };
 
 /**

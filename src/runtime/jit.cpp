@@ -495,7 +495,6 @@ parseEngineName(const std::string& name)
 Engine
 selectedEngine()
 {
-    if (forceTreeWalk()) return Engine::kTreeWalk;
     if (engineOverrideSlot()) return *engineOverrideSlot();
     const char* env = std::getenv("TENSORIR_ENGINE");
     if (env && *env) {

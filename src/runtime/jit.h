@@ -65,13 +65,11 @@ std::optional<Engine> parseEngineName(const std::string& name);
 
 /**
  * The engine `execute` will use next, resolved in priority order:
- *  1. forceTreeWalk() — setForceTreeWalk or TENSORIR_FORCE_TREEWALK —
- *     always wins (it is the CI escape hatch and must override
- *     everything, including a tuner-requested JIT);
- *  2. an explicit setEngine()/ScopedEngine override;
- *  3. the TENSORIR_ENGINE environment variable (FatalError on names
+ *  1. an explicit setEngine()/ScopedEngine override (the tuner installs
+ *     one from TuneOptions::engine);
+ *  2. the TENSORIR_ENGINE environment variable (FatalError on names
  *     other than treewalk/vm/jit — a typo must not silently fall back);
- *  4. the default: the bytecode VM.
+ *  3. the default: the bytecode VM.
  * Note kJit means "attempt native execution": per-function compile
  * failures still degrade to the VM at run time.
  */

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -820,13 +819,6 @@ class VmIntrinContext final : public ExecContext
     NDArray** arrays_;
 };
 
-std::optional<bool>&
-forceTreeWalkOverride()
-{
-    static std::optional<bool> value;
-    return value;
-}
-
 } // namespace
 
 CompiledFunc
@@ -1081,20 +1073,6 @@ VirtualMachine::run(const CompiledFunc& compiled,
         }
         ++pc;
     }
-}
-
-bool
-forceTreeWalk()
-{
-    if (forceTreeWalkOverride()) return *forceTreeWalkOverride();
-    const char* env = std::getenv("TENSORIR_FORCE_TREEWALK");
-    return env && *env && std::string(env) != "0";
-}
-
-void
-setForceTreeWalk(std::optional<bool> force)
-{
-    forceTreeWalkOverride() = force;
 }
 
 void

@@ -14,10 +14,11 @@
  * Entry points:
  *  - `execute(func, args)`: compile + run behind the engine-selection
  *    contract of docs/EXECUTION.md — the VM by default, the
- *    tree-walker when TENSORIR_FORCE_TREEWALK=1 (or setForceTreeWalk)
- *    is in effect, and the native JIT tier (runtime/jit.h) under
- *    TENSORIR_ENGINE=jit / setEngine(Engine::kJit), with graceful
- *    VM fallback when native compilation is not possible.
+ *    tree-walker under TENSORIR_ENGINE=treewalk /
+ *    setEngine(Engine::kTreeWalk), and the native JIT tier
+ *    (runtime/jit.h) under TENSORIR_ENGINE=jit / setEngine(Engine::kJit),
+ *    with graceful VM fallback when native compilation is not
+ *    possible.
  *  - `compile(func)` + `VirtualMachine::run` for callers that reuse the
  *    compiled program across many runs (benchmarks, repeated numeric
  *    checks against fresh inputs).
@@ -59,21 +60,11 @@ class VirtualMachine
     std::optional<uint64_t> step_limit_;
 };
 
-/** True when numeric execution must use the tree-walking oracle:
- *  an explicit setForceTreeWalk override wins, otherwise the
- *  TENSORIR_FORCE_TREEWALK environment variable (any non-empty value
- *  other than "0"). */
-bool forceTreeWalk();
-
-/** Override the engine choice for this process (std::nullopt returns
- *  to the environment variable). Tests use this to compare engines. */
-void setForceTreeWalk(std::optional<bool> force);
-
 /** Execute `func` numerically on the engine `selectedEngine()`
- *  (runtime/jit.h) resolves: bytecode VM by default, tree-walking
- *  interpreter under forceTreeWalk(), native JIT code under
- *  TENSORIR_ENGINE=jit / setEngine — degrading to the VM when no
- *  native module can be built. All three engines share argument
+ *  (runtime/jit.h) resolves: bytecode VM by default, the tree-walking
+ *  interpreter or native JIT code when TENSORIR_ENGINE / setEngine
+ *  select them — degrading to the VM when no native module can be
+ *  built. All three engines share argument
  *  validation, fuel semantics, the `interp.run` failpoint site, and
  *  the debug-checks gate (the full contract is docs/EXECUTION.md). */
 void execute(const PrimFunc& func, const std::vector<NDArray*>& args);

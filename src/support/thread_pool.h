@@ -232,15 +232,26 @@ class ThreadPool
                            !tasks_.empty();
                 });
                 if (st.stop_requested()) return;
+                // The owner claims batch indices without the lock, so
+                // the batch that woke this worker may be exhausted by
+                // now. Decide once: an open batch wins (the owner is
+                // blocked on it, while background tasks have no one
+                // waiting synchronously), then a queued task; with
+                // neither, go back to waiting. The failpoint site is
+                // for `delay` schedules that widen that window in
+                // tests; a `throw` there must not escape the worker.
+                try {
+                    failpoint::inject("thread_pool.claim");
+                } catch (const failpoint::InjectedFault&) {
+                }
                 if (batch_ && batch_->next.load() < batch_->n) {
-                    // An open batch wins: the pool owner is blocked on
-                    // it, while background tasks have no one waiting
-                    // synchronously.
                     batch = batch_;
-                } else {
+                } else if (!tasks_.empty()) {
                     task = std::move(tasks_.front());
                     tasks_.pop_front();
                     ++running_tasks_;
+                } else {
+                    continue;
                 }
             }
             if (batch) {

@@ -60,7 +60,7 @@ class ScopedEnv
 
 /** Fixture: private on-disk cache per test + clean in-memory state.
  *  Also neutralizes the ambient engine environment (CI runs the whole
- *  suite under TENSORIR_FORCE_TREEWALK=1 and TENSORIR_ENGINE=jit
+ *  suite under TENSORIR_ENGINE=treewalk and TENSORIR_ENGINE=jit
  *  passes) — these tests exercise the selection machinery itself, so
  *  they pin their own engine like the differential tests pin their own
  *  interpreters. */
@@ -76,7 +76,6 @@ class JitTest : public ::testing::Test
         cache_dir_ = dir;
         cache_env_.emplace("TENSORIR_JIT_CACHE", cache_dir_.c_str());
         engine_env_.emplace("TENSORIR_ENGINE", nullptr);
-        treewalk_env_.emplace("TENSORIR_FORCE_TREEWALK", nullptr);
         runtime::jitResetForTesting();
     }
 
@@ -84,7 +83,6 @@ class JitTest : public ::testing::Test
     TearDown() override
     {
         runtime::jitResetForTesting();
-        treewalk_env_.reset();
         engine_env_.reset();
         cache_env_.reset();
         std::error_code ec;
@@ -125,7 +123,6 @@ class JitTest : public ::testing::Test
     std::string cache_dir_;
     std::optional<ScopedEnv> cache_env_;
     std::optional<ScopedEnv> engine_env_;
-    std::optional<ScopedEnv> treewalk_env_;
 };
 
 TEST(JitEngineTest, EngineNamesRoundTrip)
@@ -147,17 +144,19 @@ TEST(JitEngineTest, SelectionOrderContract)
     // This test asserts the selection order itself, so clear the env
     // knobs a CI pass may have exported for the rest of the suite.
     ScopedEnv engine_env("TENSORIR_ENGINE", nullptr);
-    ScopedEnv treewalk_env("TENSORIR_FORCE_TREEWALK", nullptr);
     // Default: the bytecode VM.
     EXPECT_EQ(runtime::selectedEngine(), Engine::kVm);
     {
-        // An explicit override wins over the default...
+        // An explicit override wins over the default.
         runtime::ScopedEngine jit(Engine::kJit);
         EXPECT_EQ(runtime::selectedEngine(), Engine::kJit);
-        // ...but forceTreeWalk beats everything (the CI escape hatch).
-        runtime::setForceTreeWalk(true);
+    }
+    {
+        // TENSORIR_ENGINE selects when no override is installed, and an
+        // explicit override still beats it.
+        ScopedEnv treewalk("TENSORIR_ENGINE", "treewalk");
         EXPECT_EQ(runtime::selectedEngine(), Engine::kTreeWalk);
-        runtime::setForceTreeWalk(std::nullopt);
+        runtime::ScopedEngine jit(Engine::kJit);
         EXPECT_EQ(runtime::selectedEngine(), Engine::kJit);
     }
     // ScopedEngine restored the previous (empty) override.

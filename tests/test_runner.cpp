@@ -295,7 +295,6 @@ class RunnerSearchTest : public ::testing::Test
         cache_dir_ = dir;
         cache_env_.emplace("TENSORIR_JIT_CACHE", cache_dir_.c_str());
         engine_env_.emplace("TENSORIR_ENGINE", nullptr);
-        treewalk_env_.emplace("TENSORIR_FORCE_TREEWALK", nullptr);
         isolate_env_.emplace("TENSORIR_ISOLATE", nullptr);
         runtime::jitResetForTesting();
     }
@@ -327,7 +326,6 @@ class RunnerSearchTest : public ::testing::Test
     std::string cache_dir_;
     std::optional<ScopedEnv> cache_env_;
     std::optional<ScopedEnv> engine_env_;
-    std::optional<ScopedEnv> treewalk_env_;
     std::optional<ScopedEnv> isolate_env_;
 };
 
@@ -519,16 +517,10 @@ TEST_F(RunnerSearchTest, CrashClassificationsReplayByteIdentical)
     meta::TuneResult replayed =
         meta::evolutionarySearch(op.func, sketch, cpu, resume_opts);
     EXPECT_EQ(replayed.generations_replayed, opts.generations + 1);
-    EXPECT_EQ(replayed.crash_filtered, resumed.crash_filtered);
-    EXPECT_EQ(replayed.hang_filtered, resumed.hang_filtered);
+    EXPECT_EQ(replayed.counters(), resumed.counters());
     EXPECT_EQ(replayed.best_latency_us, resumed.best_latency_us);
     EXPECT_EQ(replayed.history, resumed.history);
-    EXPECT_EQ(replayed.trials_measured, resumed.trials_measured);
-    EXPECT_EQ(replayed.measured_valid, resumed.measured_valid);
-    EXPECT_EQ(replayed.measured_invalid, resumed.measured_invalid);
     EXPECT_EQ(replayed.tuning_cost_us, resumed.tuning_cost_us);
-    EXPECT_EQ(replayed.memo_hits, resumed.memo_hits);
-    EXPECT_EQ(replayed.memo_measure_hits, resumed.memo_measure_hits);
     if (std::isfinite(resumed.best_latency_us)) {
         EXPECT_EQ(funcToString(replayed.best_func),
                   funcToString(resumed.best_func));

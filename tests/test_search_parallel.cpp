@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "intrin/tensor_intrin.h"
 #include "ir/printer.h"
 #include "meta/journal.h"
+#include "meta/memo.h"
 #include "meta/search.h"
 #include "meta/sketch.h"
 #include "support/failpoint.h"
@@ -76,11 +79,8 @@ TEST(ParallelSearchTest, ByteIdenticalAcrossParallelism)
     EXPECT_EQ(serial.best_latency_us, parallel.best_latency_us);
     EXPECT_EQ(serial.best_sketch, parallel.best_sketch);
     EXPECT_EQ(serial.history, parallel.history);
-    EXPECT_EQ(serial.trials_measured, parallel.trials_measured);
-    EXPECT_EQ(serial.invalid_filtered, parallel.invalid_filtered);
+    EXPECT_EQ(serial.counters(), parallel.counters());
     EXPECT_EQ(serial.tuning_cost_us, parallel.tuning_cost_us);
-    EXPECT_EQ(serial.memo_hits, parallel.memo_hits);
-    EXPECT_EQ(serial.memo_measure_hits, parallel.memo_measure_hits);
     // Even the winning program is the same, byte for byte.
     EXPECT_EQ(funcToString(serial.best_func),
               funcToString(parallel.best_func));
@@ -261,6 +261,40 @@ TEST(ThreadPoolTest, ThrowingTaskIsContainedAndCounted)
     EXPECT_EQ(pool.pendingTasks(), 0u);
 }
 
+TEST(ThreadPoolTest, WorkerWokenForExhaustedBatchGoesBackToWaiting)
+{
+    // Regression for the claim race: a worker wakes because a batch is
+    // open, and before it re-checks, the owner's lock-free claim takes
+    // the last index. The worker used to fall into the task branch and
+    // pop an empty queue. The `thread_pool.claim` delay holds the
+    // worker between wake-up and re-check while the owner — parked on
+    // index 0 just long enough for the worker to wake — claims index 1,
+    // which forces that interleaving even on one CPU.
+    support::ThreadPool pool(2);
+    {
+        failpoint::ScopedFailpoints slow("thread_pool.claim=delay(1,20)");
+        for (int round = 0; round < 5; ++round) {
+            std::atomic<int> ran{0};
+            pool.parallelFor(2, [&](size_t i) {
+                if (i == 0) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                }
+                ran.fetch_add(1);
+            });
+            EXPECT_EQ(ran.load(), 2);
+        }
+        EXPECT_GT(failpoint::stats("thread_pool.claim").fired, 0u);
+    }
+    EXPECT_EQ(pool.taskExceptions(), 0);
+    EXPECT_EQ(pool.pendingTasks(), 0u);
+    std::atomic<int> task_ran{0};
+    pool.submit([&] { task_ran.fetch_add(1); });
+    pool.drain();
+    EXPECT_EQ(task_ran.load(), 1);
+    EXPECT_EQ(pool.pendingTasks(), 0u);
+}
+
 TEST(ThreadPoolTest, SubmitOnWorkerlessPoolFails)
 {
     // threads = 1 means no workers: a "background" task could only run
@@ -303,8 +337,7 @@ TEST(ParallelSearchTest, ThrowingCandidatesKeepDeterminism)
     expectSameDecisions(serial.best_decisions, parallel.best_decisions);
     EXPECT_EQ(serial.best_latency_us, parallel.best_latency_us);
     EXPECT_EQ(serial.history, parallel.history);
-    EXPECT_EQ(serial.trials_measured, parallel.trials_measured);
-    EXPECT_EQ(serial.invalid_filtered, parallel.invalid_filtered);
+    EXPECT_EQ(serial.counters(), parallel.counters());
     EXPECT_EQ(serial.tuning_cost_us, parallel.tuning_cost_us);
 }
 
@@ -361,12 +394,8 @@ TEST(ParallelSearchTest, ChaosScheduleKeepsParallelismInvariance)
     EXPECT_EQ(serial.best_latency_us, parallel.best_latency_us);
     EXPECT_EQ(serial.best_sketch, parallel.best_sketch);
     EXPECT_EQ(serial.history, parallel.history);
-    EXPECT_EQ(serial.trials_measured, parallel.trials_measured);
-    EXPECT_EQ(serial.invalid_filtered, parallel.invalid_filtered);
-    EXPECT_EQ(serial.runtime_filtered, parallel.runtime_filtered);
+    EXPECT_EQ(serial.counters(), parallel.counters());
     EXPECT_EQ(serial.tuning_cost_us, parallel.tuning_cost_us);
-    EXPECT_EQ(serial.memo_hits, parallel.memo_hits);
-    EXPECT_EQ(serial.memo_measure_hits, parallel.memo_measure_hits);
     EXPECT_EQ(funcToString(serial.best_func),
               funcToString(parallel.best_func));
 }
@@ -420,18 +449,64 @@ TEST(ParallelSearchTest, JournalResumeIsByteIdenticalAfterCrash)
                         resumed.best_decisions);
     EXPECT_EQ(reference.best_latency_us, resumed.best_latency_us);
     EXPECT_EQ(reference.history, resumed.history);
-    EXPECT_EQ(reference.trials_measured, resumed.trials_measured);
-    EXPECT_EQ(reference.invalid_filtered, resumed.invalid_filtered);
-    EXPECT_EQ(reference.race_filtered, resumed.race_filtered);
-    EXPECT_EQ(reference.bounds_filtered, resumed.bounds_filtered);
-    EXPECT_EQ(reference.runtime_filtered, resumed.runtime_filtered);
+    EXPECT_EQ(reference.counters(), resumed.counters());
     EXPECT_EQ(reference.tuning_cost_us, resumed.tuning_cost_us);
-    EXPECT_EQ(reference.memo_hits, resumed.memo_hits);
-    EXPECT_EQ(reference.memo_measure_hits, resumed.memo_measure_hits);
     // Even the winning program: the resume path re-derives it from the
     // journaled decision trace, byte for byte.
     EXPECT_EQ(funcToString(reference.best_func),
               funcToString(resumed.best_func));
+}
+
+TEST(ParallelSearchTest, JournalKeepsMemoEntriesMeasuredInLaterGenerations)
+{
+    // A valid child the cost model ranks out of the measured set is
+    // journaled unmeasured; a structural duplicate can get it measured
+    // generations later. The journal must record the entry again with
+    // its measurement, and restore keeps the last record per hash — so
+    // a resume sees the measured latency instead of re-measuring (for a
+    // wall-clock backend, the journaled number is the only copy).
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier sketch =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    const std::string journal =
+        ::testing::TempDir() + "tensorir_memo_rejournal.txt";
+    meta::resetJournal(journal);
+    meta::TuneOptions options = searchOptions(2);
+    options.journal_path = journal;
+    options.journal_label = "memo_rejournal";
+    failpoint::ScopedFailpoints quiet("");
+    meta::evolutionarySearch(op.func, sketch, gpu, options);
+
+    meta::JournalContents contents = meta::readJournal(journal);
+    ASSERT_EQ(contents.sections.size(), 1u);
+    std::unordered_map<uint64_t, int> unmeasured_at; // hash -> checkpoint
+    std::vector<uint64_t> measured_later;
+    meta::MemoCache restored;
+    for (const meta::JournalGeneration& g :
+         contents.sections[0].generations) {
+        for (const auto& [hash, entry] : g.memo) {
+            auto it = unmeasured_at.find(hash);
+            if (!entry.measured) {
+                unmeasured_at.emplace(hash, g.index);
+            } else if (it != unmeasured_at.end() && it->second < g.index) {
+                measured_later.push_back(hash);
+            }
+            restored.insert(hash, entry);
+        }
+    }
+    ASSERT_FALSE(measured_later.empty())
+        << "no memo entry was measured after its first checkpoint";
+    for (uint64_t hash : measured_later) {
+        const meta::MemoEntry* e = restored.find(hash);
+        ASSERT_NE(e, nullptr);
+        EXPECT_TRUE(e->measured);
+        // The analytical backend commits the device estimate.
+        EXPECT_EQ(e->measured_latency_us,
+                  e->estimate.valid()
+                      ? e->estimate.latency_us
+                      : std::numeric_limits<double>::infinity());
+    }
 }
 
 TEST(ParallelSearchTest, WatchdogCutsOverrunningStagesShort)
@@ -568,9 +643,7 @@ TEST(ParallelSearchTest, NumericCheckFiltersDeterministically)
 
     EXPECT_GT(serial.numeric_filtered, 0)
         << "the chaos schedule should reject some checked candidates";
-    EXPECT_EQ(serial.numeric_filtered, parallel.numeric_filtered);
-    EXPECT_EQ(serial.runtime_filtered, parallel.runtime_filtered);
-    EXPECT_EQ(serial.trials_measured, parallel.trials_measured);
+    EXPECT_EQ(serial.counters(), parallel.counters());
     EXPECT_EQ(serial.best_latency_us, parallel.best_latency_us);
     EXPECT_EQ(serial.history, parallel.history);
     expectSameDecisions(serial.best_decisions, parallel.best_decisions);

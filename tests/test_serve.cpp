@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "meta/database.h"
 #include "serve/server.h"
 #include "serve/shard.h"
+#include "support/failpoint.h"
 #include "workloads/workloads.h"
 
 #include "test_util.h"
@@ -339,14 +341,22 @@ TEST(ScheduleServerTest, ConcurrentMissesCoalesceToOneTune)
     options.tune = smallTune();
     serve::ScheduleServer server(options);
 
+    // Every client must miss before the tune streams its first record,
+    // or a late one is served a hit instead. The latch releases the
+    // clients together, and the instantiation delay keeps that first
+    // record ~75 ms away, so a client descheduled on a loaded host
+    // still arrives in time.
+    failpoint::ScopedFailpoints slow_tune("search.instantiate=delay(1,25)");
     workloads::OpSpec op = workloads::gmm(64, 64, 64);
     constexpr int kClients = 8;
+    std::latch start(kClients);
     std::vector<std::thread> clients;
     std::vector<std::optional<meta::TuneRecord>> results(kClients);
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
             meta::TuneTask task{op.func, "C", "gpu",
                                 {"wmma_16x16x16_f16"}};
+            start.arrive_and_wait();
             results[c] =
                 server.getBest(task, std::chrono::minutes(2));
         });

@@ -137,11 +137,7 @@ TEST(TraceTest, TracingIsObservationalOnly)
     EXPECT_EQ(plain.best_latency_us, traced.best_latency_us);
     EXPECT_EQ(plain.best_sketch, traced.best_sketch);
     EXPECT_EQ(plain.history, traced.history);
-    EXPECT_EQ(plain.trials_measured, traced.trials_measured);
-    EXPECT_EQ(plain.invalid_filtered, traced.invalid_filtered);
-    EXPECT_EQ(plain.race_filtered, traced.race_filtered);
-    EXPECT_EQ(plain.bounds_filtered, traced.bounds_filtered);
-    EXPECT_EQ(plain.memo_hits, traced.memo_hits);
+    EXPECT_EQ(plain.counters(), traced.counters());
     EXPECT_EQ(plain.tuning_cost_us, traced.tuning_cost_us);
     ASSERT_EQ(plain.best_decisions.size(), traced.best_decisions.size());
     for (size_t i = 0; i < plain.best_decisions.size(); ++i) {

@@ -86,8 +86,8 @@ expectSameResults(const PrimFunc& candidate, const PrimFunc& reference,
     for (auto& a : cand_args) cand_ptrs.push_back(&a);
     for (auto& a : ref_args) ref_ptrs.push_back(&a);
 
-    // Bytecode VM by default; TENSORIR_FORCE_TREEWALK=1 (exercised by
-    // the forced-tree-walk CI pass) reruns everything on the oracle.
+    // Bytecode VM by default; TENSORIR_ENGINE=treewalk (exercised by
+    // the oracle-engine CI pass) reruns everything on the oracle.
     runtime::execute(candidate, cand_ptrs);
     runtime::execute(reference, ref_ptrs);
 

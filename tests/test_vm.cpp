@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
@@ -252,25 +253,6 @@ TEST(VmTest, FailpointFiresLikeTreeWalker)
     }
 }
 
-TEST(VmTest, ForceTreeWalkSelectsOracle)
-{
-    PrimFunc f = testutil::matmul(5, 5, 5);
-    runtime::setForceTreeWalk(true);
-    EXPECT_TRUE(runtime::forceTreeWalk());
-    std::vector<NDArray> forced = makeInputs(f, 11);
-    std::vector<NDArray*> forced_ptrs = ptrs(forced);
-    runtime::execute(f, forced_ptrs);
-    runtime::setForceTreeWalk(false);
-    EXPECT_FALSE(runtime::forceTreeWalk());
-    std::vector<NDArray> vm_args = makeInputs(f, 11);
-    std::vector<NDArray*> vm_ptrs = ptrs(vm_args);
-    runtime::execute(f, vm_ptrs);
-    runtime::setForceTreeWalk(std::nullopt);
-    for (size_t i = 0; i < forced.size(); ++i) {
-        EXPECT_EQ(forced[i].maxAbsDiff(vm_args[i]), 0.0);
-    }
-}
-
 TEST(VmFuelTest, StepLimitParityAtEveryBudget)
 {
     // Find the exact statement count via the tree-walker, then check
@@ -354,6 +336,41 @@ TEST(VmFuelTest, StepLimitEnvParsingIsStrict)
     EXPECT_THROW(Interpreter::defaultStepLimit(), FatalError);
     ASSERT_EQ(unsetenv("TENSORIR_STEP_LIMIT"), 0);
     EXPECT_EQ(Interpreter::defaultStepLimit(), 0u);
+}
+
+TEST(IntrinRegistryTest, ConcurrentFirstLookupSeesEveryBuiltin)
+{
+    // Regression: builtin registration used to set its "registered"
+    // flag before filling the registry, so a second thread's first
+    // lookup could read a half-filled map. The race needs the
+    // registry's very first use, so the threads run in a freshly
+    // exec'd child (threadsafe death-test style) and look up the
+    // builtin registered last. The window is narrow in a plain build;
+    // under TSan (the CI TSan job runs IntrinRegistry*) the old code
+    // failed every time.
+    const std::string saved_style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            std::atomic<bool> go{false};
+            std::atomic<int> complete{0};
+            std::vector<std::thread> threads;
+            for (int t = 0; t < 4; ++t) {
+                threads.emplace_back([&] {
+                    while (!go.load()) {
+                    }
+                    if (TensorIntrin::exists("arm_gemm_8x12x4") &&
+                        Interpreter::hasIntrinsic("arm.gemm_8x12x4")) {
+                        complete.fetch_add(1);
+                    }
+                });
+            }
+            go.store(true);
+            for (std::thread& t : threads) t.join();
+            std::_Exit(complete.load() == 4 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    ::testing::GTEST_FLAG(death_test_style) = saved_style;
 }
 
 TEST(IntrinRegistryTest, ConcurrentRegistrationAndExecution)
