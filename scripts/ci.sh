@@ -92,11 +92,15 @@ echo "ci: measure-jit smoke (journaled wall-clock resume) passed"
 # TENSORIR_TRACE session, then validate the emitted Chrome-trace JSON
 # (parses, spans nest per thread, counter series are monotone, and the
 # span taxonomy covers search/analysis/cost-model/lowering/interpreter).
+# Once on one thread and once on four, where counter samples from
+# several threads must still come out in time order.
 if command -v python3 >/dev/null 2>&1; then
-    TENSORIR_TRACE="$BUILD_DIR/trace.json" \
-        "$BUILD_DIR/examples/example_tune_trace_demo" >/dev/null
-    python3 scripts/check_trace.py "$BUILD_DIR/trace.json"
-    echo "ci: traced tuning session validated"
+    for threads in 1 4; do
+        TENSORIR_PARALLELISM=$threads TENSORIR_TRACE="$BUILD_DIR/trace.json" \
+            "$BUILD_DIR/examples/example_tune_trace_demo" >/dev/null
+        python3 scripts/check_trace.py "$BUILD_DIR/trace.json"
+    done
+    echo "ci: traced tuning session validated (parallelism 1 and 4)"
 else
     echo "ci: python3 not found; trace validation skipped"
 fi

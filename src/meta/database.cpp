@@ -9,225 +9,95 @@
 #include "ir/structural_hash.h"
 #include "support/double_bits.h"
 #include "support/failpoint.h"
+#include "support/frame.h"
 #include "support/trace.h"
 
 namespace tir {
 namespace meta {
 
-void
-TuningDatabase::commit(TuneRecord record)
+std::string
+decisionText(const Decision& d)
 {
-    auto it = records_.find(record.workload_hash);
-    if (it == records_.end() || record.latency_us < it->second.latency_us) {
-        records_[record.workload_hash] = std::move(record);
-    }
+    std::ostringstream os;
+    os << (d.kind == Decision::Kind::kPerfectTile ? "tile" : "cat") << " "
+       << d.extent << " " << d.number << " " << d.max_innermost << " "
+       << d.num_candidates;
+    for (int64_t v : d.values) os << " " << v;
+    return os.str();
 }
 
-std::optional<TuneRecord>
-TuningDatabase::lookup(const PrimFunc& workload) const
+bool
+readDecision(std::istream& is, Decision* d)
 {
-    return lookup(structuralHash(workload));
-}
-
-std::optional<TuneRecord>
-TuningDatabase::lookup(uint64_t workload_hash) const
-{
-    auto it = records_.find(workload_hash);
-    if (it == records_.end()) return std::nullopt;
-    return it->second;
+    std::string kind;
+    is >> kind >> d->extent >> d->number >> d->max_innermost >>
+        d->num_candidates;
+    if (is.fail() || (kind != "tile" && kind != "cat")) return false;
+    d->kind = kind == "tile" ? Decision::Kind::kPerfectTile
+                             : Decision::Kind::kCategorical;
+    int64_t v = 0;
+    while (is >> v) d->values.push_back(v);
+    // Stopping anywhere but the end means a token that is no integer.
+    return is.eof();
 }
 
 namespace {
 
-const char*
-decisionKindName(Decision::Kind kind)
-{
-    return kind == Decision::Kind::kPerfectTile ? "tile" : "cat";
-}
-
-} // namespace
-
+/** One record's frame body (see the format in the header). */
 std::string
-TuningDatabase::serialize() const
+recordBody(const TuneRecord& record)
 {
+    TIR_CHECK(record.workload_name.find('\n') == std::string::npos)
+        << "workload name contains a newline: " << record.workload_name;
     std::ostringstream os;
-    for (const auto& [hash, record] : records_) {
-        // The latency's IEEE-754 bit pattern is the authoritative
-        // value (the journal's convention, support/double_bits.h); the
-        // decimal next to it is for human readers only. A default-
-        // precision decimal alone used to lose low bits on every
-        // save/load cycle, which could flip the commit() improve-
-        // comparison against a freshly tuned result.
-        TIR_CHECK(record.workload_name.find('\n') == std::string::npos)
-            << "workload name contains a newline: "
-            << record.workload_name;
-        os << "record " << hash << " "
-           << support::doubleBitsHex(record.latency_us) << " "
-           << support::doubleReadable(record.latency_us) << " "
-           << (record.sketch.empty() ? "-" : record.sketch);
-        // The name is the last field and runs to end-of-line, so names
-        // containing spaces round-trip intact.
-        if (!record.workload_name.empty()) {
-            os << " " << record.workload_name;
-        }
-        os << "\n";
-        for (const Decision& d : record.decisions) {
-            os << "  " << decisionKindName(d.kind) << " " << d.extent
-               << " " << d.number << " " << d.max_innermost << " "
-               << d.num_candidates;
-            for (int64_t v : d.values) os << " " << v;
-            os << "\n";
-        }
-        os << "end\n";
+    os << "record " << record.workload_hash << " "
+       << support::doubleBitsHex(record.latency_us) << " "
+       << support::doubleReadable(record.latency_us) << " "
+       << (record.sketch.empty() ? "-" : record.sketch);
+    if (!record.workload_name.empty()) os << " " << record.workload_name;
+    os << "\n";
+    for (const Decision& d : record.decisions) {
+        os << decisionText(d) << "\n";
     }
     return os.str();
 }
 
-TuningDatabase
-TuningDatabase::deserialize(const std::string& text, LoadReport* report)
+std::optional<TuneRecord>
+parseRecordBody(std::string_view body)
 {
-    const bool strict = report == nullptr;
-    TuningDatabase db;
-    std::istringstream is(text);
+    std::istringstream is{std::string(body)};
     std::string line;
-    TuneRecord current;
-    bool in_record = false;
-    // Tolerant mode: after damage, discard lines until the next
-    // `record` header — the only resync point the format offers.
-    bool skipping = false;
-    // A drop is counted only when a record actually existed: either a
-    // header was open (the record loses its tail) or a header line
-    // itself was damaged (the record loses everything). Stray garbage
-    // when no record is open — leading junk, debris between records —
-    // resyncs without counting, so LoadReport::dropped means "records
-    // lost", not "lines skipped".
-    auto dropOpen = [&] {
-        if (in_record) ++report->dropped;
-        in_record = false;
-        skipping = true;
-    };
+    std::getline(is, line);
+    std::istringstream head(line);
+    std::string tag, latency_bits;
+    std::string latency_decimal; // display only, never parsed
+    TuneRecord record;
+    head >> tag >> record.workload_hash >> latency_bits >>
+        latency_decimal >> record.sketch;
+    if (head.fail() || tag != "record" ||
+        !support::doubleFromBitsHex(latency_bits, &record.latency_us)) {
+        return std::nullopt;
+    }
+    if (record.sketch == "-") record.sketch.clear();
+    // Everything after the sketch token (minus the separating space)
+    // is the workload name, spaces and all.
+    std::getline(head, record.workload_name);
+    if (!record.workload_name.empty() &&
+        record.workload_name.front() == ' ') {
+        record.workload_name.erase(0, 1);
+    }
     while (std::getline(is, line)) {
         std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "record") {
-            if (in_record) {
-                TIR_CHECK(!strict) << "malformed database: nested record";
-                ++report->dropped; // the open record never saw its end
-                in_record = false;
-            }
-            skipping = false;
-            current = TuneRecord();
-            std::string latency_bits;
-            std::string latency_decimal; // display only, never parsed
-            ls >> current.workload_hash >> latency_bits >>
-                latency_decimal >> current.sketch;
-            bool ok = !ls.fail();
-            if (ok) {
-                current.latency_us =
-                    support::doubleFromBitsHex(latency_bits, &ok);
-            }
-            if (!ok) {
-                TIR_CHECK(!strict)
-                    << "malformed database record header: " << line;
-                ++report->dropped; // a header existed; its record is lost
-                skipping = true;
-                continue;
-            }
-            if (current.sketch == "-") current.sketch.clear();
-            // Everything after the sketch token (minus the separating
-            // space) is the workload name, spaces and all.
-            std::string name;
-            std::getline(ls, name);
-            if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-            current.workload_name = std::move(name);
-            in_record = true;
-        } else if (tag == "tile" || tag == "cat") {
-            if (!in_record) {
-                TIR_CHECK(!strict) << "malformed database: stray decision";
-                skipping = true;
-                continue;
-            }
-            Decision d;
-            d.kind = tag == "tile" ? Decision::Kind::kPerfectTile
-                                   : Decision::Kind::kCategorical;
-            ls >> d.extent >> d.number >> d.max_innermost >>
-                d.num_candidates;
-            if (ls.fail()) {
-                TIR_CHECK(!strict)
-                    << "malformed database decision: " << line;
-                dropOpen();
-                continue;
-            }
-            int64_t v;
-            while (ls >> v) d.values.push_back(v);
-            current.decisions.push_back(std::move(d));
-        } else if (tag == "end") {
-            if (!in_record) {
-                TIR_CHECK(!strict) << "malformed database: stray end";
-                skipping = true;
-                continue;
-            }
-            db.commit(std::move(current));
-            if (report) ++report->loaded;
-            in_record = false;
-        } else if (!tag.empty()) {
-            TIR_CHECK(!strict) << "malformed database line: " << line;
-            if (in_record || !skipping) dropOpen();
-        }
+        Decision d;
+        if (!readDecision(ls, &d)) return std::nullopt;
+        record.decisions.push_back(std::move(d));
     }
-    if (in_record) {
-        TIR_CHECK(!strict) << "malformed database: unterminated record";
-        // The crash-mid-write case: the trailing record lost its `end`
-        // (and possibly part of its last line). Everything before it
-        // was committed already.
-        ++report->dropped;
-    }
-    return db;
+    return record;
 }
 
-void
-TuningDatabase::save(const std::string& path) const
-{
-    std::ofstream out(path);
-    TIR_CHECK(out.good()) << "cannot open " << path << " for writing";
-    std::string text = serialize();
-    // Chaos hook: corrupt the serialized bytes before they hit disk so
-    // the tolerant load path is testable end to end.
-    failpoint::injectCorrupt("db.save", text);
-    out << text;
-    // A disk-full or I/O error surfaces on the stream only once the
-    // buffered bytes actually hit the file; checking before the write
-    // alone would report success for a truncated database.
-    out.flush();
-    TIR_CHECK(out.good())
-        << "write to " << path
-        << " failed (disk full or I/O error); database not saved";
-}
+} // namespace
 
-TuningDatabase
-TuningDatabase::load(const std::string& path, LoadReport* report)
-{
-    std::ifstream in(path);
-    TIR_CHECK(in.good() && !failpoint::inject("db.load"))
-        << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    // Always tolerant: a file that crossed a crash or a disk can hold a
-    // truncated trailing record, and dropping it beats aborting the
-    // session that wanted to reuse the intact ones.
-    LoadReport local;
-    TuningDatabase db = deserialize(buffer.str(), &local);
-    if (local.dropped > 0) {
-        trace::counterAdd("database.records_dropped", local.dropped);
-    }
-    if (report) *report = local;
-    return db;
-}
-
-// --- ShardedTuningDatabase ---------------------------------------------
-
-ShardedTuningDatabase::ShardedTuningDatabase(int shards)
+TuningDatabase::TuningDatabase(int shards)
 {
     TIR_CHECK(shards > 0) << "shard count must be positive, got "
                           << shards;
@@ -237,8 +107,8 @@ ShardedTuningDatabase::ShardedTuningDatabase(int shards)
     }
 }
 
-ShardedTuningDatabase::Shard&
-ShardedTuningDatabase::shardFor(uint64_t hash) const
+TuningDatabase::Shard&
+TuningDatabase::shardFor(uint64_t hash) const
 {
     // Structural hashes are already avalanche-mixed, so the low bits
     // distribute well over any shard count.
@@ -246,7 +116,7 @@ ShardedTuningDatabase::shardFor(uint64_t hash) const
 }
 
 void
-ShardedTuningDatabase::commit(TuneRecord record)
+TuningDatabase::commit(TuneRecord record)
 {
     Shard& shard = shardFor(record.workload_hash);
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
@@ -258,7 +128,7 @@ ShardedTuningDatabase::commit(TuneRecord record)
 }
 
 std::optional<TuneRecord>
-ShardedTuningDatabase::lookup(uint64_t workload_hash) const
+TuningDatabase::lookup(uint64_t workload_hash) const
 {
     const Shard& shard = shardFor(workload_hash);
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
@@ -268,13 +138,13 @@ ShardedTuningDatabase::lookup(uint64_t workload_hash) const
 }
 
 std::optional<TuneRecord>
-ShardedTuningDatabase::lookup(const PrimFunc& workload) const
+TuningDatabase::lookup(const PrimFunc& workload) const
 {
     return lookup(structuralHash(workload));
 }
 
 size_t
-ShardedTuningDatabase::size() const
+TuningDatabase::size() const
 {
     size_t total = 0;
     for (const auto& shard : shards_) {
@@ -284,57 +154,95 @@ ShardedTuningDatabase::size() const
     return total;
 }
 
-TuningDatabase
-ShardedTuningDatabase::snapshot() const
+std::string
+TuningDatabase::serialize() const
 {
-    TuningDatabase db;
+    std::map<uint64_t, std::string> bodies;
     for (const auto& shard : shards_) {
         std::shared_lock<std::shared_mutex> lock(shard->mutex);
         for (const auto& [hash, record] : shard->records) {
-            db.commit(record);
+            bodies.emplace(hash, recordBody(record));
         }
     }
-    return db;
+    std::string text;
+    for (const auto& [hash, body] : bodies) text += support::frame(body);
+    return text;
 }
 
-void
-ShardedTuningDatabase::absorb(const TuningDatabase& db)
+LoadReport
+TuningDatabase::parse(std::string_view text)
 {
-    for (const auto& [hash, record] : db.records()) {
-        commit(record);
+    using Status = support::FrameScan::Status;
+    LoadReport report;
+    for (size_t pos = 0; pos < text.size();) {
+        support::FrameScan scan = support::scanFrame(text, pos);
+        if (scan.status == Status::kIncomplete) {
+            // The crash-mid-write case: a trailing record lost its
+            // trailer. Everything before it is committed already.
+            if (text.find_first_not_of(" \n", pos) != std::string::npos) {
+                ++report.dropped;
+            }
+            break;
+        }
+        pos = scan.end;
+        std::optional<TuneRecord> record;
+        if (scan.status == Status::kComplete) {
+            record = parseRecordBody(scan.body);
+        }
+        if (record) {
+            commit(std::move(*record));
+            ++report.loaded;
+        } else {
+            ++report.dropped;
+        }
     }
+    if (report.dropped > 0) {
+        trace::counterAdd("database.records_dropped", report.dropped);
+    }
+    return report;
 }
 
 void
-ShardedTuningDatabase::saveSnapshot(const std::string& path) const
+TuningDatabase::save(const std::string& path) const
 {
-    std::string text = snapshot().serialize();
+    std::string text = serialize();
+    // Chaos hook: corrupt the serialized bytes before they hit disk so
+    // the tolerant load path is testable end to end.
+    failpoint::injectCorrupt("db.save", text);
     // Unique temporary in the same directory (rename is only atomic
     // within a filesystem); a counter disambiguates concurrent savers.
     static std::atomic<uint64_t> tmp_counter{0};
-    std::string tmp = path + ".tmp." +
-                      std::to_string(tmp_counter.fetch_add(1));
+    const std::string tmp =
+        path + ".tmp." + std::to_string(tmp_counter.fetch_add(1));
     {
-        std::ofstream out(tmp);
-        TIR_CHECK(out.good())
-            << "cannot open " << tmp << " for writing";
+        std::ofstream out(tmp, std::ios::binary);
+        TIR_CHECK(out.good()) << "cannot open " << tmp << " for writing";
         out << text;
+        // A disk-full or I/O error surfaces on the stream only once the
+        // buffered bytes actually hit the file.
         out.flush();
         if (!out.good()) {
             std::remove(tmp.c_str());
-            TIR_CHECK(false)
-                << "write to " << tmp
-                << " failed (disk full or I/O error); snapshot not "
-                   "saved";
+            TIR_FATAL << "write to " << tmp
+                      << " failed (disk full or I/O error); database "
+                         "not saved";
         }
     }
-    // Atomic publish: readers see the old snapshot or the new one,
-    // never a torn mix.
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        TIR_CHECK(false) << "cannot rename " << tmp << " over " << path;
+        TIR_FATAL << "cannot rename " << tmp << " over " << path;
     }
-    trace::counterAdd("database.snapshots_saved", 1);
+}
+
+LoadReport
+TuningDatabase::load(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    TIR_CHECK(in.good() && !failpoint::inject("db.load"))
+        << "cannot open " << path;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return parse(buffer.str());
 }
 
 } // namespace meta

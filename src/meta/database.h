@@ -4,23 +4,44 @@
  * caching historical cost models and search records. So no search is
  * needed to build a model for an operator already tuned."). Records map
  * a workload's structural hash to the best decision trace found; the
- * tuner replays a hit instead of searching. Records round-trip through
- * a plain-text format for persistence.
+ * tuner replays a hit instead of searching, and the schedule server
+ * (serve/server.h) answers queries from it.
+ *
+ * File format: one CRC frame (support/frame.h) per record, records in
+ * workload-hash order. A record body is a header line
+ *
+ *     record <hash> <latency bits> <latency decimal> <sketch> [name]
+ *
+ * followed by one decision line per decision (decisionText()). The
+ * latency's IEEE-754 bit pattern (support/double_bits.h) is the parsed
+ * value, the decimal is for human readers, and the name runs to end of
+ * line so names with spaces round-trip.
  */
 #ifndef TENSORIR_META_DATABASE_H
 #define TENSORIR_META_DATABASE_H
 
+#include <istream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tir/schedule.h"
 
 namespace tir {
 namespace meta {
+
+/** One decision as text: "tile <extent> <number> <max_innermost>
+ *  <num_candidates> <values...>" or the same with "cat". The one
+ *  Decision codec, shared by database records and journal checkpoints. */
+std::string decisionText(const Decision& d);
+
+/** Parse the rest of `is` as one decisionText(); false when it is not
+ *  exactly that. */
+bool readDecision(std::istream& is, Decision* d);
 
 /** One tuning record: the winning decisions for a workload. */
 struct TuneRecord
@@ -33,125 +54,72 @@ struct TuneRecord
     std::string sketch;
 };
 
-/** Outcome of a tolerant parse: how much survived, how much did not. */
+/** Outcome of a parse: how much survived, how much did not. */
 struct LoadReport
 {
     /** Records recovered intact. */
     int loaded = 0;
-    /** Records dropped because they were malformed or truncated (the
-     *  crash-mid-write case: a torn trailing record loses itself, never
-     *  the complete records before it). */
+    /** Records lost: a damaged frame or body, or a torn trailing
+     *  record. Bytes between frames cost nothing. */
     int dropped = 0;
 };
 
-/** In-memory store of tuning records keyed by workload hash. */
+/**
+ * Thread-safe store of tuning records keyed by workload hash. Records
+ * are partitioned over N shards by hash, each guarded by its own
+ * reader-writer lock, so lookups of different workloads never contend
+ * and a commit blocks readers of its own shard only.
+ *
+ * Every operation is atomic, and commit keeps the per-workload
+ * improve-only invariant under any interleaving (a worse record never
+ * overwrites a better one). serialize() and save() are per-shard
+ * consistent: taken while commits race, they may mix shard states from
+ * slightly different instants, but every record in them was committed
+ * and is intact.
+ */
 class TuningDatabase
 {
   public:
+    explicit TuningDatabase(int shards = 16);
+
+    TuningDatabase(const TuningDatabase&) = delete;
+    TuningDatabase& operator=(const TuningDatabase&) = delete;
+
     /** Insert (or improve) the record for a workload. */
     void commit(TuneRecord record);
 
-    /** Best known record, or nullopt when the workload is unseen. */
+    /** Best known record, or nullopt when the workload is unseen.
+     *  Takes a shared lock on one shard. */
     std::optional<TuneRecord> lookup(const PrimFunc& workload) const;
     std::optional<TuneRecord> lookup(uint64_t workload_hash) const;
 
-    size_t size() const { return records_.size(); }
-
-    /** All records, keyed by workload hash (read-only iteration; used
-     *  by the sharded database to absorb offline snapshots). */
-    const std::map<uint64_t, TuneRecord>&
-    records() const
-    {
-        return records_;
-    }
-
-    /**
-     * Serialize all records to a line-oriented text format. Latencies
-     * are written as their IEEE-754 bit pattern (the journal's
-     * convention, support/double_bits.h) with a human-readable decimal
-     * alongside, so a save/load round-trip is byte-identical and never
-     * perturbs the `commit()` improve-comparison; workload names sit at
-     * end-of-line, so names containing spaces round-trip too.
-     */
-    std::string serialize() const;
-    /**
-     * Parse records produced by serialize(). Without a report this is
-     * strict: any malformed line aborts with FatalError (an in-memory
-     * round-trip that fails is a bug, not damage). With a report the
-     * parse is tolerant — corrupt or truncated records are skipped and
-     * counted, and parsing resyncs at the next `record` line — which is
-     * the mode for data that crossed a crash or a disk.
-     */
-    static TuningDatabase deserialize(const std::string& text,
-                                      LoadReport* report = nullptr);
-
-    /** Save to / load from a file. load() parses tolerantly (a crash
-     *  mid-save leaves a truncated trailing record; the session keeps
-     *  every intact record instead of aborting), filling `report` with
-     *  the recovered/dropped counts when given. */
-    void save(const std::string& path) const;
-    static TuningDatabase load(const std::string& path,
-                               LoadReport* report = nullptr);
-
-  private:
-    std::map<uint64_t, TuneRecord> records_;
-};
-
-/**
- * Thread-safe, sharded tuning database: records are partitioned over N
- * independent shards by workload hash, each guarded by its own
- * reader-writer lock, so concurrent lookups on different workloads
- * never contend and a commit only blocks readers of its own shard.
- * This is the authoritative store behind the schedule-serving layer
- * (serve/server.h); the single-threaded TuningDatabase remains the
- * offline format owner (serialize/deserialize) and the two exchange
- * records via snapshot()/absorb().
- *
- * Consistency contract: every individual operation is atomic, and
- * commit keeps the per-workload improve-only invariant under any
- * interleaving (a worse record never overwrites a better one).
- * snapshot() and saveSnapshot() are per-shard consistent — a snapshot
- * taken while commits race may mix shard states from slightly
- * different instants, but every record it contains was committed and
- * intact.
- */
-class ShardedTuningDatabase
-{
-  public:
-    explicit ShardedTuningDatabase(int shards = 16);
-
-    ShardedTuningDatabase(const ShardedTuningDatabase&) = delete;
-    ShardedTuningDatabase& operator=(const ShardedTuningDatabase&) =
-        delete;
-
-    /** Insert (or improve) the record for a workload. Thread-safe. */
-    void commit(TuneRecord record);
-
-    /** Best known record, or nullopt. Takes a shared (reader) lock on
-     *  one shard only. Thread-safe. */
-    std::optional<TuneRecord> lookup(uint64_t workload_hash) const;
-    std::optional<TuneRecord> lookup(const PrimFunc& workload) const;
-
-    /** Total records across all shards (per-shard consistent). */
+    /** Total records across all shards. */
     size_t size() const;
 
     int shardCount() const { return static_cast<int>(shards_.size()); }
 
-    /** Copy every record into a plain TuningDatabase. */
-    TuningDatabase snapshot() const;
+    /** Every record as frames, in workload-hash order, so the text does
+     *  not depend on the shard count and a parse/serialize round trip
+     *  is byte-identical. */
+    std::string serialize() const;
 
-    /** Merge every record of `db` (improve-only per workload). */
-    void absorb(const TuningDatabase& db);
+    /** Commit every intact record of serialize() text (improve-only).
+     *  Always tolerant: a damaged or torn record is skipped and
+     *  counted, never fatal, and intact records on either side of it
+     *  still load. */
+    LoadReport parse(std::string_view text);
 
     /**
-     * Atomically publish a snapshot to `path`: the records are
-     * serialized to a temporary file in the same directory, flushed and
-     * checked, then renamed over `path`. A reader (or a crash) never
-     * observes a torn file — it sees either the previous snapshot or
-     * the new one, complete. Safe to call while commits and lookups
-     * race.
+     * Write serialize() to `path` atomically: a temporary file in the
+     * same directory, flushed and checked, then renamed over `path`. A
+     * reader or a crash sees the previous file or the new one, never a
+     * torn mix; a failed write leaves the previous file in place. Safe
+     * while commits and lookups race.
      */
-    void saveSnapshot(const std::string& path) const;
+    void save(const std::string& path) const;
+
+    /** parse() the file at `path`; FatalError when it cannot be read. */
+    LoadReport load(const std::string& path);
 
   private:
     struct Shard

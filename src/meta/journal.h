@@ -9,10 +9,10 @@
  * (journalIdentity: a format tag, the workload hash, seed, label and
  * search options). A section's records are state checkpoints: record
  * index 0 is the state after the initial random population, index g+1
- * the state after evolution generation g. Each record is framed by a
- * trailing `crc <hex>` line (CRC-32 over the record body), so a record
- * torn by a crash mid-write — or corrupted on disk — is detected and
- * dropped on load rather than poisoning the session.
+ * the state after evolution generation g. Each record is one CRC frame
+ * (support/frame.h), so a record torn by a crash mid-write — or
+ * corrupted on disk — is detected and dropped on load rather than
+ * poisoning the session.
  *
  * Recovery semantics: `readJournal` recovers every intact record up to
  * the first damaged one and reports how many record frames it dropped.
@@ -30,9 +30,10 @@
  * byte-identical to an uninterrupted run; programs are re-derived from
  * decision traces instead of being serialized.
  *
- * Doubles are stored as 16-hex-digit IEEE-754 bit patterns so values
- * round-trip exactly (latency comparisons and cost-model targets must
- * not drift by a ULP across a resume).
+ * Doubles are stored as 16-hex-digit IEEE-754 bit patterns
+ * (support/double_bits.h) so values round-trip exactly (latency
+ * comparisons and cost-model targets must not drift by a ULP across a
+ * resume); decisions use the database's codec (meta/database.h).
  */
 #ifndef TENSORIR_META_JOURNAL_H
 #define TENSORIR_META_JOURNAL_H
@@ -41,6 +42,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "meta/gbdt.h"
@@ -142,7 +144,7 @@ class JournalWriter
     void appendGeneration(const JournalGeneration& gen);
 
   private:
-    void appendRecord(std::string body);
+    void appendRecord(std::string_view body);
 
     std::string path_;
     std::ofstream out_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,8 +22,9 @@
 
 #include "runtime/ndarray.h"
 #include "support/cpu_pin.h"
-#include "support/crc32.h"
+#include "support/double_bits.h"
 #include "support/failpoint.h"
+#include "support/frame.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -48,46 +48,26 @@ runnerStatusName(RunnerStatus status)
 namespace {
 
 // --- pipe framing -------------------------------------------------------
-// Records are newline-terminated body lines followed by a "crc <8 hex>"
-// line over the body — the journal's framing discipline, so a torn
+// Requests and replies are CRC frames (support/frame.h), so a torn
 // write or a corrupted byte is detected on either side of the pipe.
 
 constexpr size_t kMaxFrameBytes = 1 << 20;
 
-std::string
-frameRecord(const std::string& body)
-{
-    char crc_line[16];
-    std::snprintf(crc_line, sizeof(crc_line), "crc %08x\n",
-                  support::crc32(body));
-    return body + crc_line;
-}
-
-/** Scan `buffer` for a complete frame. Returns 0 while incomplete, 1
+/** Take the first frame off `buffer`. Returns 0 while incomplete, 1
  *  on a verified frame (extracted into `body` and consumed from the
- *  buffer), -1 on a corrupt frame or an oversized buffer. */
+ *  buffer), -1 on a damaged frame or an oversized buffer. */
 int
 extractFrame(std::string& buffer, std::string* body)
 {
-    size_t scan = 0;
-    while (scan < buffer.size()) {
-        size_t nl = buffer.find('\n', scan);
-        if (nl == std::string::npos) break;
-        if (buffer.compare(scan, 4, "crc ") == 0) {
-            std::string line = buffer.substr(scan, nl - scan);
-            std::string head = buffer.substr(0, scan);
-            uint32_t stored = static_cast<uint32_t>(
-                std::strtoul(line.c_str() + 4, nullptr, 16));
-            if (line.size() != 12 || stored != support::crc32(head)) {
-                return -1;
-            }
-            *body = std::move(head);
-            buffer.erase(0, nl + 1);
-            return 1;
-        }
-        scan = nl + 1;
+    support::FrameScan scan = support::scanFrame(buffer);
+    switch (scan.status) {
+      case support::FrameScan::Status::kComplete:
+        *body = scan.body;
+        buffer.erase(0, scan.end);
+        return 1;
+      case support::FrameScan::Status::kDamaged: return -1;
+      default: return buffer.size() > kMaxFrameBytes ? -1 : 0;
     }
-    return buffer.size() > kMaxFrameBytes ? -1 : 0;
 }
 
 /** Write all of `data` to `fd`; false on any error (EPIPE shows up
@@ -104,28 +84,6 @@ writeAll(int fd, const std::string& data)
         }
         off += static_cast<size_t>(n);
     }
-    return true;
-}
-
-std::string
-latencyBits(double value)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, bits);
-    return buf;
-}
-
-bool
-latencyOf(const std::string& hex, double* value)
-{
-    if (hex.size() != 16 ||
-        hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-        return false;
-    }
-    uint64_t bits = std::strtoull(hex.c_str(), nullptr, 16);
-    std::memcpy(value, &bits, sizeof(*value));
     return true;
 }
 
@@ -315,7 +273,8 @@ childHandleRequest(const std::string& body, ChildArguments& args)
                 std::nth_element(samples.begin(), mid, samples.end());
                 // Same clamp as the in-process path: a kernel faster
                 // than the clock must still report a positive latency.
-                reply = "ok " + latencyBits(std::max(*mid, 1e-3));
+                reply = "ok " +
+                        support::doubleBitsHex(std::max(*mid, 1e-3));
             }
         }
         if (fuel_out) reply = "reject fuel";
@@ -331,7 +290,7 @@ childHandleRequest(const std::string& body, ChildArguments& args)
 workerMain(int req_fd, int resp_fd, const PrimFunc& workload,
            uint64_t seed)
 {
-    if (!writeAll(resp_fd, frameRecord("ready\n"))) _exit(2);
+    if (!writeAll(resp_fd, support::frame("ready\n"))) _exit(2);
     ChildArguments args = buildChildArguments(workload, seed);
     std::string buffer;
     for (;;) {
@@ -343,7 +302,7 @@ workerMain(int req_fd, int resp_fd, const PrimFunc& workload,
             _exit(got == 0 ? 0 : 3);
         }
         std::string reply = childHandleRequest(body, args);
-        if (!writeAll(resp_fd, frameRecord(reply + "\n"))) _exit(2);
+        if (!writeAll(resp_fd, support::frame(reply + "\n"))) _exit(2);
     }
 }
 
@@ -521,7 +480,7 @@ MeasureRunner::run(const RunnerRequest& request)
     for (int64_t c : request.local_counts) body << " " << c;
     body << "\n";
     body << "path " << request.object_path << "\n";
-    const std::string framed = frameRecord(body.str());
+    const std::string framed = support::frame(body.str());
 
     const int attempts = std::max(0, config_.retries) + 1;
     for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -593,7 +552,9 @@ MeasureRunner::run(const RunnerRequest& request)
             // Strip the trailing newline the child framed in.
             if (reply.back() == '\n') reply.pop_back();
             if (reply.rfind("ok ", 0) == 0 &&
-                latencyOf(reply.substr(3), &result.latency_us)) {
+                support::doubleFromBitsHex(
+                    std::string_view(reply).substr(3),
+                    &result.latency_us)) {
                 result.status = RunnerStatus::kOk;
                 span.addArg(trace::arg("latency_us", result.latency_us));
                 return result;

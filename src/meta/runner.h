@@ -21,10 +21,10 @@
  *    object path, entry symbol, and the candidate's intermediate-
  *    buffer sizes.
  *
- * Requests and responses travel over pipes as line-oriented records
- * framed by a trailing `crc <8 hex>` line — the same CRC-32 framing
- * discipline as the checkpoint journal (meta/journal.h), so a torn or
- * corrupted frame is detected, never misparsed.
+ * Requests and responses travel over pipes as line-oriented records in
+ * CRC frames (support/frame.h) — the framing of the checkpoint journal
+ * and the tuning database too — so a torn or corrupted frame is
+ * detected, never misparsed.
  *
  * Failure classification (RunnerStatus) is the contract the search's
  * accounting builds on:

@@ -145,11 +145,12 @@ struct TuneOptions
     /**
      * Interpreter fuel budget per candidate evaluation: the maximum
      * number of statements a simulated measurement may execute before
-     * it is aborted with a structured EvalError (rejected and counted
-     * as a timeout, not process death). 0 = unlimited. The default is
-     * generous — real candidates finish in well under a millionth of
-     * it — so it only catches pathological programs that would
-     * otherwise spin the interpreter forever.
+     * it is aborted with a structured EvalError (a contained runtime
+     * reject, counted in `runtime_filtered`, not process death; only
+     * the stage watchdog feeds `timeout_filtered`). 0 = unlimited.
+     * The default is generous — real candidates finish in well under
+     * a millionth of it — so it only catches pathological programs
+     * that would otherwise spin the interpreter forever.
      */
     uint64_t eval_step_limit = 1ull << 33;
     /**

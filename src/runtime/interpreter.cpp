@@ -1,7 +1,6 @@
 #include "runtime/interpreter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +8,7 @@
 #include <optional>
 
 #include "arith/interval.h"
+#include "support/env.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
 #include "tir/analysis/analysis.h"
@@ -40,22 +40,24 @@ stepLimitOverride()
 /**
  * The intrinsic registry is written once per registration and read from
  * concurrent search workers (every candidate evaluation resolves its
- * intrinsic calls). Copy-on-write: writers rebuild an immutable map
- * under a mutex and publish it through an atomic shared_ptr; readers
- * take one atomic snapshot and never observe a map mid-mutation.
+ * intrinsic calls). Copy-on-write: writers rebuild an immutable map and
+ * swap the pointer under the mutex; readers copy the pointer under the
+ * same mutex and never observe a map mid-mutation. (Not
+ * std::atomic<std::shared_ptr>: libstdc++ 12 releases its internal lock
+ * with relaxed order, a race TSan reports.)
  */
 std::mutex&
-registryWriteMutex()
+registryMutex()
 {
     static std::mutex m;
     return m;
 }
 
-std::atomic<std::shared_ptr<const IntrinsicRegistry>>&
+std::shared_ptr<const IntrinsicRegistry>&
 registrySlot()
 {
-    static std::atomic<std::shared_ptr<const IntrinsicRegistry>> slot{
-        std::make_shared<const IntrinsicRegistry>()};
+    static std::shared_ptr<const IntrinsicRegistry> slot =
+        std::make_shared<const IntrinsicRegistry>();
     return slot;
 }
 
@@ -64,17 +66,17 @@ registrySlot()
 std::shared_ptr<const IntrinsicRegistry>
 Interpreter::intrinsicSnapshot()
 {
-    return registrySlot().load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(registryMutex());
+    return registrySlot();
 }
 
 void
 Interpreter::registerIntrinsic(const std::string& name, IntrinsicImpl impl)
 {
-    std::lock_guard<std::mutex> lock(registryWriteMutex());
-    auto next = std::make_shared<IntrinsicRegistry>(
-        *registrySlot().load(std::memory_order_acquire));
+    std::lock_guard<std::mutex> lock(registryMutex());
+    auto next = std::make_shared<IntrinsicRegistry>(*registrySlot());
     (*next)[name] = std::move(impl);
-    registrySlot().store(std::move(next), std::memory_order_release);
+    registrySlot() = std::move(next);
 }
 
 bool
@@ -84,7 +86,7 @@ Interpreter::hasIntrinsic(const std::string& name)
 }
 
 void
-Interpreter::setDebugChecks(bool enabled)
+Interpreter::setDebugChecks(std::optional<bool> enabled)
 {
     debugChecksOverride() = enabled;
 }
@@ -93,8 +95,7 @@ bool
 Interpreter::debugChecksEnabled()
 {
     if (debugChecksOverride()) return *debugChecksOverride();
-    const char* env = std::getenv("TENSORIR_DEBUG_CHECKS");
-    return env && *env && std::string(env) != "0";
+    return support::envFlag("TENSORIR_DEBUG_CHECKS", false);
 }
 
 void

@@ -138,12 +138,14 @@ class Interpreter final : public ExecContext
     static std::shared_ptr<const IntrinsicRegistry> intrinsicSnapshot();
 
     /** Force the pre-execution static memory analysis on or off for
-     *  every subsequent run() (overrides the environment). */
-    static void setDebugChecks(bool enabled);
+     *  every subsequent run() (overrides the environment); nullopt
+     *  hands the choice back to the environment. */
+    static void setDebugChecks(std::optional<bool> enabled);
     /** Whether run() asserts the static memory analysis before
      *  executing: an explicit setDebugChecks wins, otherwise the
-     *  TENSORIR_DEBUG_CHECKS environment variable (any non-empty value
-     *  other than "0"). Off by default — the analysis re-lowers the
+     *  TENSORIR_DEBUG_CHECKS environment variable, a flag parsed by
+     *  support::envFlag ("1"/"on" or "0"/"off"; any other spelling
+     *  raises FatalError). Off by default — the analysis re-lowers the
      *  function, which is wasted work in tight test loops. */
     static bool debugChecksEnabled();
 

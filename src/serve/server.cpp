@@ -59,15 +59,12 @@ ScheduleServer::target(const std::string& name)
         deviceFor(name));
     if (!options_.snapshot_prefix.empty()) {
         // Warm start from the previous run's snapshot, if any. Load is
-        // tolerant: a torn snapshot cannot exist (saveSnapshot renames
-        // atomically), but an old-format or hand-edited file should
-        // cost its damaged records, not the whole server.
+        // tolerant: a torn snapshot cannot exist (save renames
+        // atomically), but a damaged, old-format or hand-edited file
+        // costs its bad records — each checked against its CRC — not
+        // the whole server.
         std::string path = snapshotPath(options_.snapshot_prefix, name);
-        if (std::ifstream(path).good()) {
-            meta::LoadReport report;
-            shard->database().absorb(
-                meta::TuningDatabase::load(path, &report));
-        }
+        if (std::ifstream(path).good()) shard->database().load(path);
     }
     TargetShard& ref = *shard;
     targets_.emplace(name, std::move(shard));
@@ -229,7 +226,7 @@ ScheduleServer::shutdown()
     if (!options_.snapshot_prefix.empty()) {
         std::lock_guard<std::mutex> tlock(targets_mutex_);
         for (const auto& [name, shard] : targets_) {
-            shard->database().saveSnapshot(
+            shard->database().save(
                 snapshotPath(options_.snapshot_prefix, name));
         }
     }

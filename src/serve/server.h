@@ -6,7 +6,7 @@
  * service) and tunes what it does not know in the background.
  *
  * Read path: per-target state (serve/shard.h) — a mutex-free hot cache
- * in front of a sharded, reader-writer-locked `ShardedTuningDatabase`.
+ * in front of a sharded, reader-writer-locked `meta::TuningDatabase`.
  * A hit is one atomic load on the hot path; concurrent lookups on
  * different workloads never contend.
  *

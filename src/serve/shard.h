@@ -140,16 +140,13 @@ class TargetShard
     void commit(meta::TuneRecord record);
 
     const hwsim::DeviceModel& device() const { return *device_; }
-    meta::ShardedTuningDatabase& database() { return database_; }
-    const meta::ShardedTuningDatabase& database() const
-    {
-        return database_;
-    }
+    meta::TuningDatabase& database() { return database_; }
+    const meta::TuningDatabase& database() const { return database_; }
     HotCache& hotCache() { return hot_; }
 
   private:
     std::unique_ptr<hwsim::DeviceModel> device_;
-    meta::ShardedTuningDatabase database_;
+    meta::TuningDatabase database_;
     HotCache hot_;
 };
 

@@ -3,20 +3,23 @@
  * Exact double round-tripping for line-oriented persistence formats:
  * a double is written as its 16-hex-digit IEEE-754 bit pattern, so a
  * save/load cycle reproduces the value bit for bit (including NaN
- * payloads, signed zero, and subnormals). Shared by the tuning journal
- * (meta/journal.cpp) and the tuning database (meta/database.cpp) so
- * both formats encode latencies identically; a decimal rendering may
- * ride alongside for human readers but is never the parsed value.
+ * payloads, signed zero, and subnormals). The one double codec of the
+ * tuning journal (meta/journal.cpp), the tuning database
+ * (meta/database.cpp) and the runner pipe (meta/runner.cpp); a decimal
+ * rendering may ride alongside for human readers but is never the
+ * parsed value.
  */
 #ifndef TENSORIR_SUPPORT_DOUBLE_BITS_H
 #define TENSORIR_SUPPORT_DOUBLE_BITS_H
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace tir {
 namespace support {
@@ -32,21 +35,19 @@ doubleBitsHex(double value)
     return buf;
 }
 
-/** Parse a doubleBitsHex() string; `*ok` reports whether `hex` was a
- *  well-formed 16-digit lowercase pattern (the value is 0 when not). */
-inline double
-doubleFromBitsHex(const std::string& hex, bool* ok)
+/** Parse a doubleBitsHex() string into `*value`; false (leaving
+ *  `*value` alone) unless `hex` is a 16-digit lowercase pattern. */
+inline bool
+doubleFromBitsHex(std::string_view hex, double* value)
 {
     if (hex.size() != 16 ||
         hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-        *ok = false;
-        return 0;
+        return false;
     }
-    *ok = true;
-    uint64_t bits = std::strtoull(hex.c_str(), nullptr, 16);
-    double value = 0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
+    uint64_t bits = 0;
+    std::from_chars(hex.data(), hex.data() + hex.size(), bits, 16);
+    std::memcpy(value, &bits, sizeof(*value));
+    return true;
 }
 
 /** Shortest decimal rendering that still identifies the double for a

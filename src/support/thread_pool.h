@@ -124,14 +124,20 @@ class ThreadPool
         }
         work_ready_.notify_all();
         runBatch(*batch);
+        std::exception_ptr error;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             batch_done_.wait(lock, [&] {
                 return batch->done.load() == batch->n;
             });
             batch_ = nullptr;
+            // Take the error out: a worker may still hold the batch, and
+            // must not be the thread that frees the exception the caller
+            // is handling (its refcounts live in uninstrumented
+            // libstdc++, so TSan would report the free as a race).
+            error = std::move(batch->error);
         }
-        if (batch->error) std::rethrow_exception(batch->error);
+        if (error) std::rethrow_exception(error);
     }
 
     /**

@@ -61,6 +61,7 @@ struct Collector
     uint64_t start_ns = 0;      // session epoch
     std::vector<std::unique_ptr<ThreadBuffer>> buffers;
     std::map<std::string, int64_t> counter_totals;
+    uint64_t last_counter_ns = 0; // strictly increasing counter stamps
 };
 
 Collector&
@@ -162,46 +163,57 @@ writeJsonLocked(Collector& c)
                       buf->tid);
         emit(line);
     }
+    // One time-ordered stream across all threads, so each counter's
+    // samples appear in the order their totals were assigned.
+    std::vector<std::pair<const Event*, uint32_t>> events;
     for (const auto& buf : c.buffers) {
         for (const Event& e : buf->events) {
-            double ts_us =
-                static_cast<double>(e.ts_ns - c.start_ns) / 1000.0;
-            char head[256];
-            std::string line;
-            switch (e.phase) {
-              case 'X':
-                std::snprintf(head, sizeof(head),
-                              "{\"name\":\"%s\",\"cat\":\"span\","
-                              "\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                              "\"pid\":1,\"tid\":%u",
-                              e.name, ts_us,
-                              static_cast<double>(e.dur_ns) / 1000.0,
-                              buf->tid);
-                break;
-              case 'C':
-                std::snprintf(head, sizeof(head),
-                              "{\"name\":\"%s\",\"cat\":\"%s\","
-                              "\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
-                              "\"tid\":%u,\"args\":{\"value\":%.17g}}",
-                              e.name, categoryName(e.category), ts_us,
-                              buf->tid, e.value);
-                break;
-              default:
-                std::snprintf(head, sizeof(head),
-                              "{\"name\":\"%s\",\"cat\":\"span\","
-                              "\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,"
-                              "\"pid\":1,\"tid\":%u",
-                              e.name, ts_us, buf->tid);
-            }
-            line = head;
-            if (e.phase != 'C') {
-                if (!e.args.empty()) {
-                    line += ",\"args\":{" + e.args + "}";
-                }
-                line += "}";
-            }
-            emit(line);
+            events.emplace_back(&e, buf->tid);
         }
+    }
+    std::stable_sort(events.begin(), events.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.first->ts_ns < b.first->ts_ns;
+                     });
+    for (const auto& [event, tid] : events) {
+        const Event& e = *event;
+        double ts_us =
+            static_cast<double>(e.ts_ns - c.start_ns) / 1000.0;
+        char head[256];
+        std::string line;
+        switch (e.phase) {
+          case 'X':
+            std::snprintf(head, sizeof(head),
+                          "{\"name\":\"%s\",\"cat\":\"span\","
+                          "\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                          "\"pid\":1,\"tid\":%u",
+                          e.name, ts_us,
+                          static_cast<double>(e.dur_ns) / 1000.0,
+                          tid);
+            break;
+          case 'C':
+            std::snprintf(head, sizeof(head),
+                          "{\"name\":\"%s\",\"cat\":\"%s\","
+                          "\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
+                          "\"tid\":%u,\"args\":{\"value\":%.17g}}",
+                          e.name, categoryName(e.category), ts_us,
+                          tid, e.value);
+            break;
+          default:
+            std::snprintf(head, sizeof(head),
+                          "{\"name\":\"%s\",\"cat\":\"span\","
+                          "\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,"
+                          "\"pid\":1,\"tid\":%u",
+                          e.name, ts_us, tid);
+        }
+        line = head;
+        if (e.phase != 'C') {
+            if (!e.args.empty()) {
+                line += ",\"args\":{" + e.args + "}";
+            }
+            line += "}";
+        }
+        emit(line);
     }
     std::fputs("\n]}\n", out);
     std::fclose(out);
@@ -277,15 +289,16 @@ counterAdd(const char* name, int64_t delta)
     detail::ThreadBuffer* buf = detail::threadBuffer();
     if (!buf) return;
     detail::Collector& c = detail::collector();
-    int64_t total = 0;
-    {
-        std::lock_guard<std::mutex> lock(c.mutex);
-        total = (c.counter_totals[name] += delta);
-    }
     detail::Event event;
+    {
+        // Stamp under the lock that assigns the total: the exported
+        // stream is time-ordered, so a later total needs a later time.
+        std::lock_guard<std::mutex> lock(c.mutex);
+        event.value = static_cast<double>(c.counter_totals[name] += delta);
+        event.ts_ns = c.last_counter_ns =
+            std::max(detail::nowNs(), c.last_counter_ns + 1);
+    }
     event.name = name;
-    event.ts_ns = detail::nowNs();
-    event.value = static_cast<double>(total);
     event.phase = 'C';
     event.category = 'c';
     detail::push(buf, std::move(event));

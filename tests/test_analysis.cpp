@@ -18,6 +18,8 @@
 #include "tir/verify.h"
 #include "workloads/workloads.h"
 
+#include "test_util.h"
+
 namespace tir {
 namespace {
 
@@ -267,6 +269,28 @@ TEST(AnalysisWiringTest, InterpreterDebugChecksRejectRacyProgram)
     // Off (the default), the sequential interpreter executes it fine.
     runtime::Interpreter::setDebugChecks(false);
     EXPECT_NO_THROW(interp.run(racy, {&backing}));
+    runtime::Interpreter::setDebugChecks(std::nullopt);
+}
+
+TEST(AnalysisWiringTest, DebugChecksEnvironmentIsAStrictFlag)
+{
+    // TENSORIR_DEBUG_CHECKS used to enable the checks for any value but
+    // "0", so "off" and "false" both turned them on. It is a flag now
+    // (support::envFlag): "off" disables, an unknown spelling fails.
+    runtime::Interpreter::setDebugChecks(std::nullopt);
+    {
+        testutil::ScopedEnv env("TENSORIR_DEBUG_CHECKS", "off");
+        EXPECT_FALSE(runtime::Interpreter::debugChecksEnabled());
+    }
+    {
+        testutil::ScopedEnv env("TENSORIR_DEBUG_CHECKS", "on");
+        EXPECT_TRUE(runtime::Interpreter::debugChecksEnabled());
+    }
+    {
+        testutil::ScopedEnv env("TENSORIR_DEBUG_CHECKS", "false");
+        EXPECT_THROW(runtime::Interpreter::debugChecksEnabled(),
+                     FatalError);
+    }
 }
 
 // --- Search filter -------------------------------------------------------

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -14,6 +17,8 @@
 #include "meta/database.h"
 #include "meta/search.h"
 #include "support/double_bits.h"
+#include "support/failpoint.h"
+#include "support/frame.h"
 #include "workloads/workloads.h"
 
 #include "test_util.h"
@@ -21,18 +26,36 @@
 namespace tir {
 namespace {
 
-/** A valid serialized record header in the current format:
- *  `record <hash> <bits> <decimal> <sketch> [name]`. */
+/** One framed database record in the current format: a header line
+ *  `record <hash> <bits> <decimal> <sketch> [name]`, then `decisions`
+ *  (decision lines, each ending in a newline), then the CRC trailer. */
 std::string
-recordHeader(uint64_t hash, double latency, const std::string& sketch,
-             const std::string& name = "")
+recordFrame(uint64_t hash, double latency, const std::string& sketch,
+            const std::string& name = "",
+            const std::string& decisions = "")
 {
     std::ostringstream os;
     os << "record " << hash << " " << support::doubleBitsHex(latency)
        << " " << support::doubleReadable(latency) << " " << sketch;
     if (!name.empty()) os << " " << name;
-    os << "\n";
-    return os.str();
+    os << "\n" << decisions;
+    return support::frame(os.str());
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+void
+writeFile(const std::string& path, const std::string& text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
 }
 
 TEST(StructuralHashTest, AlphaEquivalentProgramsHashEqual)
@@ -128,8 +151,8 @@ TEST(DatabaseTest, SerializeRoundTrips)
     record.decisions = {tile, cat};
     db.commit(record);
 
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(db.serialize());
+    meta::TuningDatabase restored;
+    restored.parse(db.serialize());
     ASSERT_EQ(restored.size(), 1u);
     auto got = restored.lookup(1234567);
     ASSERT_TRUE(got.has_value());
@@ -148,9 +171,9 @@ TEST(DatabaseTest, SerializeRoundTripIsByteIdentical)
     // slightly different after save/load. That could flip commit()'s
     // improve-comparison against a fresh result, silently replacing a
     // faster schedule. The format now writes the IEEE-754 bit pattern,
-    // so serialize(deserialize(serialize(db))) is byte-identical and
-    // every latency round-trips exactly.
-    meta::TuningDatabase db;
+    // so serialize(parse(serialize(db))) is byte-identical and every
+    // latency round-trips exactly — whatever the shard counts.
+    meta::TuningDatabase db(3);
     const double awkward[] = {0.1, 1234.5678901, 100.0 / 3.0,
                               1e-300, 7.0};
     uint64_t hash = 1;
@@ -171,8 +194,8 @@ TEST(DatabaseTest, SerializeRoundTripIsByteIdentical)
     }
 
     std::string first = db.serialize();
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(first);
+    meta::TuningDatabase restored(5);
+    restored.parse(first);
     EXPECT_EQ(restored.serialize(), first);
 
     hash = 1;
@@ -186,7 +209,7 @@ TEST(DatabaseTest, SerializeRoundTripIsByteIdentical)
 
 TEST(DatabaseTest, WorkloadNamesWithSpacesRoundTrip)
 {
-    // Regression: deserialize used to read the workload name with
+    // Regression: the parse used to read the workload name with
     // operator>>, so a name like "fused conv2d relu" consumed only
     // "fused" and the leftover tokens corrupted the parse of the
     // following lines. Names now sit at end-of-line and are read with
@@ -205,9 +228,10 @@ TEST(DatabaseTest, WorkloadNamesWithSpacesRoundTrip)
     db.commit(second);
 
     std::string text = db.serialize();
-    // Strict mode: a spaced name must not be "damage".
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(text);
+    // A spaced name must not be "damage".
+    meta::TuningDatabase restored;
+    meta::LoadReport report = restored.parse(text);
+    EXPECT_EQ(report.dropped, 0);
     ASSERT_EQ(restored.size(), 2u);
     EXPECT_EQ(restored.lookup(77)->workload_name,
               "fused conv2d relu 3x3 pad=1");
@@ -219,28 +243,26 @@ TEST(DatabaseTest, WorkloadNamesWithSpacesRoundTrip)
 TEST(DatabaseTest, TolerantParseDoesNotCountStrayGarbageAsDrops)
 {
     // Regression: the tolerant parser used to count a "dropped record"
-    // for stray garbage before any `record` header ever appeared, so
+    // for stray garbage before any record ever appeared, so
     // LoadReport::dropped over-reported damage (callers alert on it).
     // A drop must mean a record actually lost: junk ahead of the first
-    // header or debris between complete records just resyncs.
+    // frame or debris between complete frames costs nothing.
     std::string text = "# comment-ish junk\nmore junk here\n" +
-                       recordHeader(1, 1.0, "tensor", "ok") + "end\n" +
+                       recordFrame(1, 1.0, "tensor", "ok") +
                        "debris between records\n" +
-                       recordHeader(2, 2.0, "loop") + "end\n";
-    meta::LoadReport report;
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(text, &report);
+                       recordFrame(2, 2.0, "loop");
+    meta::TuningDatabase restored;
+    meta::LoadReport report = restored.parse(text);
     EXPECT_EQ(report.loaded, 2);
     EXPECT_EQ(report.dropped, 0);
     EXPECT_EQ(restored.size(), 2u);
 
     // Garbage *inside* a record still costs that record exactly one
     // drop — the boundary the fix must not move.
-    std::string torn = recordHeader(3, 3.0, "tensor") +
-                       "garbage inside\nend\n";
-    meta::LoadReport torn_report;
-    meta::TuningDatabase torn_restored =
-        meta::TuningDatabase::deserialize(torn, &torn_report);
+    std::string torn =
+        recordFrame(3, 3.0, "tensor", "", "garbage inside\n");
+    meta::TuningDatabase torn_restored;
+    meta::LoadReport torn_report = torn_restored.parse(torn);
     EXPECT_EQ(torn_report.loaded, 0);
     EXPECT_EQ(torn_report.dropped, 1);
     EXPECT_EQ(torn_restored.size(), 0u);
@@ -248,22 +270,33 @@ TEST(DatabaseTest, TolerantParseDoesNotCountStrayGarbageAsDrops)
 
 TEST(DatabaseTest, RejectsMalformedText)
 {
-    EXPECT_THROW(meta::TuningDatabase::deserialize("garbage here"),
-                 FatalError);
-    EXPECT_THROW(
-        meta::TuningDatabase::deserialize(recordHeader(1, 2.0, "tensor")),
-        FatalError); // unterminated
-    EXPECT_THROW(
-        meta::TuningDatabase::deserialize(
-            "record 1 not_a_bit_pattern 2 tensor x\nend\n"),
-        FatalError); // damaged latency bits
+    // Malformed text loads nothing and is counted: there is no strict
+    // parse any more, every load is tolerant.
+    auto parse = [](const std::string& text) {
+        meta::TuningDatabase db;
+        meta::LoadReport report = db.parse(text);
+        EXPECT_EQ(db.size(), 0u) << text;
+        EXPECT_EQ(report.loaded, 0) << text;
+        return report.dropped;
+    };
+    EXPECT_EQ(parse("garbage here"), 1);
+    std::string unterminated = recordFrame(1, 2.0, "tensor");
+    unterminated.resize(unterminated.rfind("crc "));
+    EXPECT_EQ(parse(unterminated), 1);
+    EXPECT_EQ(parse(support::frame(
+                  "record 1 not_a_bit_pattern 2 tensor x\n")),
+              1); // damaged latency bits
+    // A file from before the framing: unframed, so it loads empty.
+    EXPECT_EQ(parse("record 1 4000000000000000 2 tensor x\n"
+                    "  tile 4 1 2 0 4\nend\n"),
+              1);
 }
 
 TEST(DatabaseTest, TolerantParseRecoversFromTruncatedTail)
 {
     // The crash-mid-save case: the file ends inside a record. The
-    // tolerant parse keeps every complete record and counts the torn
-    // one as dropped instead of aborting the session.
+    // parse keeps every complete record and counts the torn one as
+    // dropped instead of aborting the session.
     meta::TuningDatabase db;
     meta::TuneRecord record;
     record.workload_hash = 11;
@@ -278,13 +311,14 @@ TEST(DatabaseTest, TolerantParseRecoversFromTruncatedTail)
     record.decisions = {tile};
     db.commit(record);
     std::string text = db.serialize();
-    // Append a record whose `end` (and part of its decision line) was
-    // lost to the crash.
-    text += recordHeader(22, 9.0, "loop", "torn") + "  tile 64 3";
+    // Append a record whose trailer (and part of its decision line)
+    // was lost to the crash.
+    std::string torn =
+        recordFrame(22, 9.0, "loop", "torn", "tile 64 3 4 0 4 4 4\n");
+    text += torn.substr(0, torn.find("tile 64 3") + 9);
 
-    meta::LoadReport report;
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(text, &report);
+    meta::TuningDatabase restored;
+    meta::LoadReport report = restored.parse(text);
     EXPECT_EQ(report.loaded, 1);
     EXPECT_EQ(report.dropped, 1);
     ASSERT_EQ(restored.size(), 1u);
@@ -293,23 +327,19 @@ TEST(DatabaseTest, TolerantParseRecoversFromTruncatedTail)
     EXPECT_EQ(got->workload_name, "intact");
     ASSERT_EQ(got->decisions.size(), 1u);
     EXPECT_EQ(got->decisions[0].values, (std::vector<int64_t>{8, 4}));
-    // The same text still fails the strict (in-memory round-trip) mode.
-    EXPECT_THROW(meta::TuningDatabase::deserialize(text), FatalError);
 }
 
 TEST(DatabaseTest, TolerantParseResyncsAfterCorruptMiddleRecord)
 {
     // Damage in the middle of the file: the parse drops the damaged
-    // record, resyncs at the next `record` header, and keeps both
-    // neighbours.
+    // record and keeps both neighbours.
     std::string text =
-        recordHeader(1, 1.0, "tensor", "first") + "end\n" +
-        "record 2 oops_not_a_number 2 loop damaged\n"
-        "  tile 4 1 2 0 4\nend\n" +
-        recordHeader(3, 3.0, "tensor", "last") + "end\n";
-    meta::LoadReport report;
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(text, &report);
+        recordFrame(1, 1.0, "tensor", "first") +
+        support::frame("record 2 oops_not_a_number 2 loop damaged\n"
+                       "tile 4 1 2 0 4\n") +
+        recordFrame(3, 3.0, "tensor", "last");
+    meta::TuningDatabase restored;
+    meta::LoadReport report = restored.parse(text);
     EXPECT_EQ(report.loaded, 2);
     EXPECT_EQ(report.dropped, 1);
     EXPECT_EQ(restored.size(), 2u);
@@ -318,20 +348,92 @@ TEST(DatabaseTest, TolerantParseResyncsAfterCorruptMiddleRecord)
     EXPECT_TRUE(restored.lookup(3).has_value());
 }
 
+TEST(DatabaseTest, FlippedDecisionDigitIsDroppedAndCounted)
+{
+    // §5.2 reuse replays a stored decision trace without searching, so
+    // a record damaged on disk must never load: one flipped digit turns
+    // the tiling 8 * 4 of a 32-extent loop into 9 * 4, which no longer
+    // matches the extent. The record's CRC catches it; its neighbours
+    // still load.
+    meta::TuningDatabase db;
+    for (uint64_t hash : {5u, 6u, 7u}) {
+        meta::TuneRecord record;
+        record.workload_hash = hash;
+        record.workload_name = "layer " + std::to_string(hash);
+        record.latency_us = static_cast<double>(hash);
+        Decision tile;
+        tile.kind = Decision::Kind::kPerfectTile;
+        tile.extent = 32;
+        tile.number = 2;
+        tile.max_innermost = 4;
+        tile.values = hash == 6 ? std::vector<int64_t>{8, 4}
+                                : std::vector<int64_t>{4, 8};
+        record.decisions = {tile};
+        db.commit(record);
+    }
+    const std::string path =
+        ::testing::TempDir() + "/tensorir_db_flip_test.txt";
+    db.save(path);
+    std::string text = readFile(path);
+    const size_t at = text.find("tile 32 2 4 0 8 4");
+    ASSERT_NE(at, std::string::npos);
+    text[at + std::string("tile 32 2 4 0 ").size()] = '9';
+    writeFile(path, text);
+
+    meta::TuningDatabase loaded;
+    meta::LoadReport report = loaded.load(path);
+    EXPECT_EQ(report.loaded, 2);
+    EXPECT_EQ(report.dropped, 1);
+    EXPECT_FALSE(loaded.lookup(6).has_value());
+    EXPECT_TRUE(loaded.lookup(5).has_value());
+    EXPECT_TRUE(loaded.lookup(7).has_value());
+    std::remove(path.c_str());
+}
+
+TEST(DatabaseTest, CorruptingSaveFailpointCostsOnlyDamagedRecords)
+{
+    // The db.save chaos hook flips bytes on their way to disk. Whatever
+    // it hits, a load keeps only records that were saved, intact.
+    meta::TuningDatabase db;
+    for (uint64_t hash = 1; hash <= 8; ++hash) {
+        meta::TuneRecord record;
+        record.workload_hash = hash;
+        record.workload_name = "wl";
+        record.latency_us = static_cast<double>(hash);
+        db.commit(record);
+    }
+    const std::string path =
+        ::testing::TempDir() + "/tensorir_db_corrupt_save_test.txt";
+    {
+        failpoint::ScopedFailpoints corrupt("seed=4; db.save=corrupt(1,3)");
+        db.save(path);
+        EXPECT_EQ(failpoint::stats("db.save").fired, 1u);
+    }
+    meta::TuningDatabase loaded;
+    meta::LoadReport report = loaded.load(path);
+    EXPECT_GT(report.dropped, 0);
+    EXPECT_LE(report.loaded + report.dropped, 8);
+    EXPECT_EQ(static_cast<size_t>(report.loaded), loaded.size());
+    for (uint64_t hash = 1; hash <= 8; ++hash) {
+        if (auto got = loaded.lookup(hash)) {
+            EXPECT_EQ(got->latency_us, static_cast<double>(hash));
+            EXPECT_EQ(got->workload_name, "wl");
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(DatabaseTest, LoadSkipsAndCountsCorruptRecords)
 {
     // load() is always tolerant: a database file that crossed a crash
     // keeps its intact records.
     std::string path =
         ::testing::TempDir() + "/tensorir_db_torn_test.txt";
-    {
-        std::ofstream out(path);
-        out << recordHeader(5, 5.0, "tensor", "kept") << "end\n"
-            << recordHeader(6, 6.0, "loop", "torn") << "  tile 64";
-    }
-    meta::LoadReport report;
-    meta::TuningDatabase loaded =
-        meta::TuningDatabase::load(path, &report);
+    std::string torn = recordFrame(6, 6.0, "loop", "torn", "tile 64\n");
+    writeFile(path, recordFrame(5, 5.0, "tensor", "kept") +
+                        torn.substr(0, torn.find("tile 64") + 7));
+    meta::TuningDatabase loaded;
+    meta::LoadReport report = loaded.load(path);
     EXPECT_EQ(report.loaded, 1);
     EXPECT_EQ(report.dropped, 1);
     EXPECT_EQ(loaded.size(), 1u);
@@ -348,7 +450,9 @@ TEST(DatabaseTest, SaveAndLoadFile)
     db.commit(record);
     std::string path = ::testing::TempDir() + "/tensorir_db_test.txt";
     db.save(path);
-    meta::TuningDatabase loaded = meta::TuningDatabase::load(path);
+    EXPECT_EQ(readFile(path), db.serialize());
+    meta::TuningDatabase loaded;
+    loaded.load(path);
     EXPECT_EQ(loaded.size(), 1u);
     std::remove(path.c_str());
 }
@@ -358,20 +462,33 @@ TEST(DatabaseTest, SaveReportsWriteFailures)
     // Regression: save() used to check the stream only before writing,
     // so a disk that filled up mid-write (or any I/O error surfacing
     // once the buffered bytes were flushed) silently left a truncated
-    // or empty database behind. /dev/full reproduces exactly that:
-    // opening succeeds, the flush fails with ENOSPC.
-    std::ofstream probe("/dev/full");
-    if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
-    probe.close();
-
+    // or empty database behind. A file-size limit on this process
+    // reproduces exactly that: opening succeeds, the flush fails with
+    // EFBIG. The save writes a temporary file and renames it, so the
+    // failure also leaves the previous database untouched.
     meta::TuningDatabase db;
     meta::TuneRecord record;
     record.workload_hash = 7;
     record.workload_name = "doomed";
     record.latency_us = 1.0;
     db.commit(record);
-    EXPECT_THROW(db.save("/dev/full"), FatalError);
-    // The pre-existing open check still catches bad paths.
+    const std::string path =
+        ::testing::TempDir() + "/tensorir_db_full_test.txt";
+    writeFile(path, "previous\n");
+
+    struct rlimit saved_limit;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+    auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit small = saved_limit;
+    small.rlim_cur = 16;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+    EXPECT_THROW(db.save(path), FatalError);
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit);
+    std::signal(SIGXFSZ, saved_handler);
+    EXPECT_EQ(readFile(path), "previous\n");
+    std::remove(path.c_str());
+
+    // The open check still catches bad paths.
     EXPECT_THROW(db.save("/nonexistent-dir-tensorir/db.txt"),
                  FatalError);
 }
@@ -415,8 +532,8 @@ TEST(DatabaseTest, ReplayedScheduleIsNumericallyCorrect)
     meta::autoTune(task, gpu, options, meta::TunerStyle::kTensorIR,
                    &db);
     // Round-trip the database through text, then replay from it.
-    meta::TuningDatabase restored =
-        meta::TuningDatabase::deserialize(db.serialize());
+    meta::TuningDatabase restored;
+    restored.parse(db.serialize());
     meta::TuneResult replayed = meta::autoTune(
         task, gpu, options, meta::TunerStyle::kTensorIR, &restored);
     ASSERT_TRUE(replayed.from_database);

@@ -32,35 +32,7 @@
 namespace tir {
 namespace {
 
-/** Set an environment variable for one scope, restoring the previous
- *  value (or unsetting) on destruction. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) saved_ = old;
-        if (value) {
-            ::setenv(name, value, 1);
-        } else {
-            ::unsetenv(name);
-        }
-    }
-    ~ScopedEnv()
-    {
-        if (saved_) {
-            ::setenv(name_.c_str(), saved_->c_str(), 1);
-        } else {
-            ::unsetenv(name_.c_str());
-        }
-    }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-  private:
-    std::string name_;
-    std::optional<std::string> saved_;
-};
+using testutil::ScopedEnv;
 
 // --- env parsing: TENSORIR_PARALLELISM ---------------------------------
 

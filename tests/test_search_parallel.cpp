@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -455,6 +456,92 @@ TEST(ParallelSearchTest, JournalResumeIsByteIdenticalAfterCrash)
     // journaled decision trace, byte for byte.
     EXPECT_EQ(funcToString(reference.best_func),
               funcToString(resumed.best_func));
+}
+
+TEST(ParallelSearchTest, JournalResumeReplaysIntactPrefixOfCorruptedJournal)
+{
+    // A journal damaged on disk: the journal.append chaos hook flips
+    // bytes of one record (generation 0's checkpoint) while every other
+    // record lands intact. Recovery keeps the prefix before the damage,
+    // counts the damaged record, and the resumed search re-runs from
+    // there to the uninterrupted result.
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier sketch =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    const std::string journal =
+        ::testing::TempDir() + "tensorir_corrupt_journal.txt";
+    meta::resetJournal(journal);
+    meta::TuneOptions options = searchOptions(2);
+    options.journal_path = journal;
+    options.journal_label = "corrupt_test";
+
+    failpoint::ScopedFailpoints quiet("");
+    meta::TuneResult reference =
+        meta::evolutionarySearch(op.func, sketch, gpu, searchOptions(2));
+    {
+        // The progress hook runs just before each checkpoint is
+        // written, so arming the site there corrupts that record only.
+        meta::TuneOptions corrupting = options;
+        corrupting.progress = [](const meta::TuneProgress& p) {
+            failpoint::configure(p.generation == 1
+                                     ? "seed=9; journal.append=corrupt(1,2)"
+                                     : "");
+        };
+        meta::evolutionarySearch(op.func, sketch, gpu, corrupting);
+    }
+    meta::JournalContents contents = meta::readJournal(journal);
+    EXPECT_EQ(contents.records_dropped, 1);
+    ASSERT_EQ(contents.sections.size(), 1u);
+    EXPECT_EQ(contents.sections[0].generations.size(), 1u);
+
+    meta::TuneOptions resume_options = options;
+    resume_options.resume = true;
+    meta::TuneResult resumed =
+        meta::evolutionarySearch(op.func, sketch, gpu, resume_options);
+    EXPECT_EQ(resumed.generations_replayed, 1);
+    expectSameDecisions(reference.best_decisions,
+                        resumed.best_decisions);
+    EXPECT_EQ(reference.best_latency_us, resumed.best_latency_us);
+    EXPECT_EQ(reference.history, resumed.history);
+    EXPECT_EQ(reference.counters(), resumed.counters());
+    EXPECT_EQ(reference.tuning_cost_us, resumed.tuning_cost_us);
+    EXPECT_EQ(funcToString(reference.best_func),
+              funcToString(resumed.best_func));
+    // The resume rewrote the damaged tail: the journal is whole again.
+    EXPECT_EQ(meta::readJournal(journal).records_dropped, 0);
+    std::remove(journal.c_str());
+}
+
+TEST(ParallelSearchTest, JournalIdentityCoversCandidateFilters)
+{
+    // A candidate filter changes which candidates survive, so a resume
+    // under a different setting must not replay the recorded section.
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier sketch =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    const std::string journal =
+        ::testing::TempDir() + "tensorir_identity_journal.txt";
+    meta::resetJournal(journal);
+    meta::TuneOptions options = searchOptions(2);
+    options.generations = 1;
+    options.journal_path = journal;
+    options.journal_label = "identity_test";
+    failpoint::ScopedFailpoints quiet("");
+    meta::evolutionarySearch(op.func, sketch, gpu, options);
+
+    meta::TuneOptions same = options;
+    same.resume = true;
+    EXPECT_EQ(meta::evolutionarySearch(op.func, sketch, gpu, same)
+                  .generations_replayed,
+              2);
+    meta::TuneOptions flipped = same;
+    flipped.lint_filter = !options.lint_filter;
+    EXPECT_EQ(meta::evolutionarySearch(op.func, sketch, gpu, flipped)
+                  .generations_replayed,
+              0);
+    std::remove(journal.c_str());
 }
 
 TEST(ParallelSearchTest, JournalKeepsMemoEntriesMeasuredInLaterGenerations)

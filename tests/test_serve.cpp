@@ -55,7 +55,7 @@ smallTune()
 
 TEST(ServeDatabaseTest, CommitLookupBasics)
 {
-    meta::ShardedTuningDatabase db(4);
+    meta::TuningDatabase db(4);
     EXPECT_EQ(db.shardCount(), 4);
     EXPECT_FALSE(db.lookup(7).has_value());
     db.commit(makeRecord(7, 10.0));
@@ -69,26 +69,25 @@ TEST(ServeDatabaseTest, CommitLookupBasics)
     EXPECT_EQ(db.size(), 1u);
 }
 
-TEST(ServeDatabaseTest, SnapshotAndAbsorbExchangeRecords)
+TEST(ServeDatabaseTest, SerializedRecordsMoveBetweenShardCounts)
 {
-    meta::ShardedTuningDatabase db(8);
+    meta::TuningDatabase db(8);
     for (uint64_t h = 1; h <= 20; ++h) {
         db.commit(makeRecord(h, static_cast<double>(h)));
     }
-    meta::TuningDatabase snap = db.snapshot();
-    EXPECT_EQ(snap.size(), 20u);
-
-    meta::ShardedTuningDatabase other(3);
-    other.absorb(snap);
+    meta::TuningDatabase other(3);
+    meta::LoadReport report = other.parse(db.serialize());
+    EXPECT_EQ(report.loaded, 20);
     EXPECT_EQ(other.size(), 20u);
     EXPECT_DOUBLE_EQ(other.lookup(13)->latency_us, 13.0);
+    EXPECT_EQ(other.serialize(), db.serialize());
 }
 
 TEST(ServeDatabaseTest, ConcurrentCommitsKeepTheBest)
 {
     // N threads commit different latencies for the same workloads; the
     // improve-only invariant must hold under any interleaving.
-    meta::ShardedTuningDatabase db(4);
+    meta::TuningDatabase db(4);
     constexpr int kThreads = 8;
     constexpr uint64_t kWorkloads = 16;
     std::vector<std::thread> threads;
@@ -123,10 +122,10 @@ TEST(ServeDatabaseTest, ConcurrentCommitsKeepTheBest)
 TEST(ServeDatabaseTest, ConcurrentCommitLookupSnapshotSave)
 {
     // The serving mix: writers commit, readers look up, and a
-    // snapshotter saves — all racing. Every lookup that returns must
+    // saver saves — all racing. Every lookup that returns must
     // return an intact committed record, and every saved snapshot must
     // parse back cleanly (atomic publish: no torn file).
-    meta::ShardedTuningDatabase db(4);
+    meta::TuningDatabase db(4);
     const std::string path =
         ::testing::TempDir() + "/tensorir_serve_snap_test.db";
     std::atomic<bool> stop{false};
@@ -159,9 +158,9 @@ TEST(ServeDatabaseTest, ConcurrentCommitLookupSnapshotSave)
             }
         });
     }
-    std::thread snapshotter([&db, &stop, &path] {
+    std::thread saver([&db, &stop, &path] {
         while (!stop.load()) {
-            db.saveSnapshot(path);
+            db.save(path);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
     });
@@ -170,13 +169,12 @@ TEST(ServeDatabaseTest, ConcurrentCommitLookupSnapshotSave)
     stop.store(true);
     for (auto& th : writers) th.join();
     for (auto& th : readers) th.join();
-    snapshotter.join();
+    saver.join();
 
     EXPECT_EQ(bad_reads.load(), 0);
-    meta::LoadReport report;
-    meta::TuningDatabase loaded =
-        meta::TuningDatabase::load(path, &report);
-    EXPECT_EQ(report.dropped, 0) << "snapshot must never be torn";
+    meta::TuningDatabase loaded;
+    meta::LoadReport report = loaded.load(path);
+    EXPECT_EQ(report.dropped, 0) << "a saved file must never be torn";
     EXPECT_GT(loaded.size(), 0u);
     std::remove(path.c_str());
 }

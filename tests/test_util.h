@@ -1,18 +1,53 @@
 /**
  * @file
- * Shared helpers for schedule tests: build common workloads and check
- * that a transformed function computes the same values as the original.
+ * Shared test helpers: build common workloads, check that a transformed
+ * function computes the same values as the original, and scope an
+ * environment variable.
  */
 #ifndef TENSORIR_TESTS_TEST_UTIL_H
 #define TENSORIR_TESTS_TEST_UTIL_H
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "runtime/vm.h"
 #include "te/te.h"
 
 namespace tir {
 namespace testutil {
+
+/** Set an environment variable for one scope, restoring the previous
+ *  value (or unsetting) on destruction. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char* name, const char* value) : name_(name)
+    {
+        if (const char* old = std::getenv(name)) saved_ = old;
+        if (value) {
+            ::setenv(name, value, 1);
+        } else {
+            ::unsetenv(name);
+        }
+    }
+    ~ScopedEnv()
+    {
+        if (saved_) {
+            ::setenv(name_.c_str(), saved_->c_str(), 1);
+        } else {
+            ::unsetenv(name_.c_str());
+        }
+    }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    std::string name_;
+    std::optional<std::string> saved_;
+};
 
 /** Build a plain matmul C[n,m] = A[n,k] * B[k,m]. */
 inline PrimFunc
