@@ -23,9 +23,20 @@ cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Werror -Wno-restrict"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" --output-on-failure
+# The plain pass points gtest's TEST_TMPDIR at a fresh directory: tests
+# write files only under ::testing::TempDir() (ScopedTempDir in
+# tests/test_util.h) and must leave nothing there.
+TEST_TMP="$(mktemp -d)"
+TEST_TMPDIR="$TEST_TMP" ctest --test-dir "$BUILD_DIR" --output-on-failure
+if [[ -n "$(ls -A "$TEST_TMP")" ]]; then
+    echo "ci: tests left files in their temp directory:" >&2
+    ls -lA "$TEST_TMP" >&2
+    rm -rf "$TEST_TMP"
+    exit 1
+fi
+rmdir "$TEST_TMP"
 
-echo "ci: build (-Wall -Wextra -Werror) and tests passed"
+echo "ci: build (-Wall -Wextra -Werror) and tests passed (temp directory left clean)"
 
 # Lint gate: run the tensorir-lint CLI (tools/tensorir_lint.cpp) over
 # the small-shape seed suite. The binary exits nonzero iff any
@@ -133,8 +144,7 @@ echo "ci: serve smoke (Zipf load, single-flight, clean shutdown) passed"
 # SIGKILLs it (set short here so the job stays fast). The binary
 # asserts nonzero crash_filtered AND hang_filtered, that the tune
 # completed anyway, and that a journal resume replays the
-# classifications byte-identically. Skips itself without fork or a
-# toolchain.
+# classifications byte-identically. Skips itself without a toolchain.
 TENSORIR_JIT_CACHE="$BUILD_DIR/jit-cache" \
 TENSORIR_MEASURE_TIMEOUT_MS=300 \
     "$BUILD_DIR/examples/example_runner_chaos_smoke" \

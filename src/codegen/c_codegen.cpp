@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "intrin/tensor_intrin.h"
-#include "ir/functor.h"
 #include "lower/lower.h"
 #include "support/logging.h"
 
@@ -15,18 +14,6 @@ namespace tir {
 namespace codegen {
 
 namespace {
-
-std::string
-cType(DataType dtype)
-{
-    if (dtype == DataType::f64()) return "double";
-    if (dtype.isFloat()) return "float"; // f16 widened to float
-    if (dtype == DataType::i8()) return "int8_t";
-    if (dtype == DataType::u8()) return "uint8_t";
-    if (dtype == DataType::i64()) return "int64_t";
-    if (dtype.isBool()) return "int";
-    return "int32_t";
-}
 
 /** Find the TensorIntrin whose implementation call uses `op`. */
 const TensorIntrin*
@@ -44,360 +31,10 @@ intrinForCall(const std::string& op)
     return nullptr;
 }
 
-/** Collects every buffer a function touches. */
-class BufferCollector : public StmtExprVisitor
-{
-  public:
-    std::vector<Buffer> buffers;
-
-    void
-    add(const Buffer& buffer)
-    {
-        for (const Buffer& b : buffers) {
-            if (b == buffer) return;
-        }
-        buffers.push_back(buffer);
-    }
-
-  protected:
-    void
-    visitBufferLoad(const BufferLoadNode& node) override
-    {
-        add(node.buffer);
-        StmtExprVisitor::visitBufferLoad(node);
-    }
-    void
-    visitBufferPtr(const BufferPtrNode& node) override
-    {
-        add(node.buffer);
-        StmtExprVisitor::visitBufferPtr(node);
-    }
-    void
-    visitBufferStore(const BufferStoreNode& node) override
-    {
-        add(node.buffer);
-        StmtExprVisitor::visitBufferStore(node);
-    }
-};
-
-class CEmitter
-{
-  public:
-    std::string
-    emitFunction(const PrimFunc& func)
-    {
-        PrimFunc lowered = lowerToLoops(func);
-        TIR_CHECK(isBlockFree(lowered->body))
-            << "codegen requires a fully lowered function";
-
-        std::ostringstream body;
-        emitStmt(body, lowered->body, 1);
-
-        std::ostringstream out;
-        out << "#include <math.h>\n#include <stdint.h>\n\n";
-        out << "static inline int64_t tir_floordiv(int64_t a, int64_t "
-               "b) {\n    int64_t q = a / b;\n    if ((a % b != 0) && "
-               "((a < 0) != (b < 0))) --q;\n    return q;\n}\n";
-        out << "static inline int64_t tir_floormod(int64_t a, int64_t "
-               "b) {\n    return a - tir_floordiv(a, b) * b;\n}\n\n";
-        for (const std::string& helper : mma_helpers_) {
-            out << helper << "\n";
-        }
-        out << "void " << lowered->name << "(";
-        for (size_t i = 0; i < lowered->params.size(); ++i) {
-            if (i) out << ", ";
-            const Buffer& p = lowered->params[i];
-            out << cType(p->dtype) << "* restrict " << p->name;
-        }
-        out << ")\n{\n";
-        // Local (intermediate) buffers.
-        BufferCollector collector;
-        collector.visitStmt(lowered->body);
-        std::set<const BufferNode*> params;
-        for (const Buffer& p : lowered->params) params.insert(p.get());
-        for (const Buffer& b : collector.buffers) {
-            if (params.count(b.get())) continue;
-            out << "    static " << cType(b->dtype) << " "
-                << sanitize(b->name) << "[" << b->numel() << "];\n";
-        }
-        out << body.str();
-        out << "}\n";
-        return out.str();
-    }
-
-  private:
-    static std::string
-    sanitize(const std::string& name)
-    {
-        std::string result = name;
-        for (char& c : result) {
-            if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-        }
-        return result;
-    }
-
-    std::string
-    linearIndex(const Buffer& buffer, const std::vector<Expr>& indices)
-    {
-        std::string result;
-        for (size_t d = 0; d < indices.size(); ++d) {
-            std::string idx = emitExpr(indices[d]);
-            if (d == 0) {
-                result = idx;
-            } else {
-                result = "(" + result + ") * " +
-                         std::to_string(buffer->shapeInt(d)) + " + " +
-                         idx;
-            }
-        }
-        return result.empty() ? "0" : result;
-    }
-
-    std::string
-    emitExpr(const Expr& e)
-    {
-        switch (e->kind) {
-          case ExprKind::kIntImm:
-            return std::to_string(
-                static_cast<const IntImmNode&>(*e).value);
-          case ExprKind::kFloatImm: {
-            std::ostringstream os;
-            os << static_cast<const FloatImmNode&>(*e).value;
-            std::string text = os.str();
-            if (text.find('.') == std::string::npos &&
-                text.find('e') == std::string::npos) {
-                text += ".0";
-            }
-            return text + "f";
-          }
-          case ExprKind::kVar:
-            return sanitize(static_cast<const VarNode&>(*e).name);
-          case ExprKind::kNot:
-            return "(!" + emitExpr(static_cast<const NotNode&>(*e).a) +
-                   ")";
-          case ExprKind::kSelect: {
-            const auto& n = static_cast<const SelectNode&>(*e);
-            return "(" + emitExpr(n.cond) + " ? " + emitExpr(n.tval) +
-                   " : " + emitExpr(n.fval) + ")";
-          }
-          case ExprKind::kCast: {
-            const auto& n = static_cast<const CastNode&>(*e);
-            return "((" + cType(n.dtype) + ")" + emitExpr(n.value) +
-                   ")";
-          }
-          case ExprKind::kBufferLoad: {
-            const auto& n = static_cast<const BufferLoadNode&>(*e);
-            return sanitize(n.buffer->name) + "[" +
-                   linearIndex(n.buffer, n.indices) + "]";
-          }
-          case ExprKind::kBufferPtr: {
-            const auto& n = static_cast<const BufferPtrNode&>(*e);
-            return "&" + sanitize(n.buffer->name) + "[" +
-                   linearIndex(n.buffer, n.indices) + "]";
-          }
-          case ExprKind::kCall:
-            return emitCall(static_cast<const CallNode&>(*e));
-          default:
-            return emitBinary(static_cast<const BinaryNode&>(*e));
-        }
-    }
-
-    std::string
-    emitBinary(const BinaryNode& n)
-    {
-        const char* op = nullptr;
-        switch (n.kind) {
-          case ExprKind::kAdd: op = "+"; break;
-          case ExprKind::kSub: op = "-"; break;
-          case ExprKind::kMul: op = "*"; break;
-          case ExprKind::kDiv: op = "/"; break;
-          case ExprKind::kEQ: op = "=="; break;
-          case ExprKind::kNE: op = "!="; break;
-          case ExprKind::kLT: op = "<"; break;
-          case ExprKind::kLE: op = "<="; break;
-          case ExprKind::kGT: op = ">"; break;
-          case ExprKind::kGE: op = ">="; break;
-          case ExprKind::kAnd: op = "&&"; break;
-          case ExprKind::kOr: op = "||"; break;
-          default: break;
-        }
-        std::string a = emitExpr(n.a);
-        std::string b = emitExpr(n.b);
-        if (op) return "(" + a + " " + op + " " + b + ")";
-        switch (n.kind) {
-          case ExprKind::kFloorDiv:
-            return "tir_floordiv(" + a + ", " + b + ")";
-          case ExprKind::kFloorMod:
-            return "tir_floormod(" + a + ", " + b + ")";
-          case ExprKind::kMin:
-            if (n.dtype.isFloat()) {
-                return "fminf(" + a + ", " + b + ")";
-            }
-            return "(" + a + " < " + b + " ? " + a + " : " + b + ")";
-          case ExprKind::kMax:
-            if (n.dtype.isFloat()) {
-                return "fmaxf(" + a + ", " + b + ")";
-            }
-            return "(" + a + " > " + b + " ? " + a + " : " + b + ")";
-          default:
-            TIR_PANIC << "unsupported binary op in codegen";
-        }
-    }
-
-    std::string
-    emitCall(const CallNode& n)
-    {
-        static const std::map<std::string, std::string> pure = {
-            {"exp", "expf"},   {"sqrt", "sqrtf"}, {"tanh", "tanhf"},
-            {"erf", "erff"},   {"log", "logf"},   {"abs", "fabsf"},
-        };
-        auto it = pure.find(n.op);
-        if (it != pure.end()) {
-            return it->second + "(" + emitExpr(n.args[0]) + ")";
-        }
-        if (n.op == "sigmoid") {
-            return "(1.0f / (1.0f + expf(-" + emitExpr(n.args[0]) +
-                   ")))";
-        }
-        // Opaque tensor intrinsic: route to a generic tile-MMA helper.
-        const TensorIntrin* ti = intrinForCall(n.op);
-        TIR_CHECK(ti) << "no codegen rule for call " << n.op;
-        TIR_CHECK(n.args.size() == 3 &&
-                  n.args[0]->kind == ExprKind::kBufferPtr)
-            << "unsupported intrinsic call shape for codegen";
-        const auto& c_ptr = static_cast<const BufferPtrNode&>(*n.args[0]);
-        const auto& a_ptr = static_cast<const BufferPtrNode&>(*n.args[1]);
-        const auto& b_ptr = static_cast<const BufferPtrNode&>(*n.args[2]);
-        std::string helper = ensureMmaHelper(*ti);
-        auto stride = [](const BufferPtrNode& ptr) {
-            return std::to_string(
-                ptr.buffer->shapeInt(ptr.buffer->ndim() - 1));
-        };
-        return helper + "(" + emitExpr(n.args[0]) + ", " +
-               stride(c_ptr) + ", " + emitExpr(n.args[1]) + ", " +
-               stride(a_ptr) + ", " + emitExpr(n.args[2]) + ", " +
-               stride(b_ptr) + ")";
-    }
-
-    std::string
-    ensureMmaHelper(const TensorIntrin& ti)
-    {
-        std::string name = "tir_mma_" + std::to_string(ti.tile_m) + "x" +
-                           std::to_string(ti.tile_n) + "x" +
-                           std::to_string(ti.tile_k) + "_" +
-                           cType(ti.in_dtype) + "_" + cType(ti.acc_dtype);
-        for (char& c : name) {
-            if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-        }
-        if (emitted_helpers_.insert(name).second) {
-            std::ostringstream os;
-            os << "static inline void " << name << "("
-               << cType(ti.acc_dtype) << "* restrict c, int64_t ldc, "
-               << "const " << cType(ti.in_dtype)
-               << "* restrict a, int64_t lda, const "
-               << cType(ti.in_dtype) << "* restrict b, int64_t ldb)\n"
-               << "{\n"
-               << "    for (int64_t i = 0; i < " << ti.tile_m
-               << "; ++i)\n"
-               << "        for (int64_t j = 0; j < " << ti.tile_n
-               << "; ++j)\n"
-               << "            for (int64_t k = 0; k < " << ti.tile_k
-               << "; ++k)\n"
-               << "                c[i * ldc + j] += (("
-               << cType(ti.acc_dtype) << ")a[i * lda + k]) * (("
-               << cType(ti.acc_dtype) << ")b[k * ldb + j]);\n"
-               << "}\n";
-            mma_helpers_.push_back(os.str());
-        }
-        return name;
-    }
-
-    void
-    indent(std::ostringstream& os, int level)
-    {
-        for (int i = 0; i < level; ++i) os << "    ";
-    }
-
-    void
-    emitStmt(std::ostringstream& os, const Stmt& s, int level)
-    {
-        switch (s->kind) {
-          case StmtKind::kBufferStore: {
-            const auto& n = static_cast<const BufferStoreNode&>(*s);
-            indent(os, level);
-            os << sanitize(n.buffer->name) << "["
-               << linearIndex(n.buffer, n.indices)
-               << "] = " << emitExpr(n.value) << ";\n";
-            return;
-          }
-          case StmtKind::kEvaluate: {
-            // Storage barriers order GPU threads; the emitted C runs
-            // thread loops sequentially, so they compile away.
-            if (asStorageSync(*s)) {
-                indent(os, level);
-                os << "/* storage_sync */;\n";
-                return;
-            }
-            const auto& n = static_cast<const EvaluateNode&>(*s);
-            indent(os, level);
-            os << emitExpr(n.value) << ";\n";
-            return;
-          }
-          case StmtKind::kSeq: {
-            for (const Stmt& sub :
-                 static_cast<const SeqStmtNode&>(*s).seq) {
-                emitStmt(os, sub, level);
-            }
-            return;
-          }
-          case StmtKind::kIfThenElse: {
-            const auto& n = static_cast<const IfThenElseNode&>(*s);
-            indent(os, level);
-            os << "if (" << emitExpr(n.cond) << ") {\n";
-            emitStmt(os, n.then_case, level + 1);
-            if (n.else_case) {
-                indent(os, level);
-                os << "} else {\n";
-                emitStmt(os, n.else_case, level + 1);
-            }
-            indent(os, level);
-            os << "}\n";
-            return;
-          }
-          case StmtKind::kFor: {
-            const auto& n = static_cast<const ForNode&>(*s);
-            TIR_CHECK(n.for_kind != ForKind::kThreadBinding)
-                << "the C backend targets CPU functions only";
-            indent(os, level);
-            if (n.for_kind == ForKind::kParallel) {
-                os << "/* parallel */ ";
-            } else if (n.for_kind == ForKind::kVectorized) {
-                os << "/* vectorize */ ";
-            } else if (n.for_kind == ForKind::kUnrolled) {
-                os << "/* unroll */ ";
-            }
-            std::string v = sanitize(n.loop_var->name);
-            os << "for (int64_t " << v << " = " << emitExpr(n.min)
-               << "; " << v << " < " << emitExpr(n.min) << " + "
-               << emitExpr(n.extent) << "; ++" << v << ") {\n";
-            emitStmt(os, n.body, level + 1);
-            indent(os, level);
-            os << "}\n";
-            return;
-          }
-          default:
-            TIR_PANIC << "block encountered after lowering";
-        }
-    }
-
-    std::set<std::string> emitted_helpers_;
-    std::vector<std::string> mma_helpers_;
-};
-
 /**
- * Emitter for the native execution tier (runtime/jit.h). Unlike
- * CEmitter, which produces portable typed C, this one is a *semantic
- * clone* of the interpreter/VM: every buffer is the runtime's raw
+ * The C emitter, built for the native execution tier (runtime/jit.h)
+ * as a *semantic clone* of the interpreter/VM: every buffer is the
+ * runtime's raw
  * `double*` storage, index/predicate arithmetic happens in int64 with
  * floor division semantics, value arithmetic happens in double, and
  * domain crossings (loads in int context, casts, stores of int values)
@@ -660,7 +297,7 @@ class JitEmitter
           case ExprKind::kCall: {
             const auto& n = static_cast<const CallNode&>(*expr);
             // Double-precision libm, the same calls the interpreter
-            // and the VM make (not the float variants emitC uses).
+            // and the VM make.
             static const std::map<std::string, std::string> pure = {
                 {"exp", "exp"},   {"sqrt", "sqrt"}, {"tanh", "tanh"},
                 {"erf", "erf"},   {"log", "log"},   {"abs", "fabs"},
@@ -870,40 +507,35 @@ class JitEmitter
 } // namespace
 
 std::string
-emitC(const PrimFunc& func)
-{
-    CEmitter emitter;
-    return emitter.emitFunction(func);
-}
-
-std::string
 emitStandaloneC(const PrimFunc& func, int num_outputs)
 {
+    JitSource src = emitJitC(func);
+    TIR_CHECK(num_outputs >= 0 &&
+              static_cast<size_t>(num_outputs) <= src.num_params)
+        << "emitStandaloneC: " << num_outputs << " outputs of "
+        << src.num_params << " parameters";
+    const size_t first_output =
+        src.num_params - static_cast<size_t>(num_outputs);
     std::ostringstream os;
-    os << emitC(func);
-    os << "\n#include <stdio.h>\n\nint main(void)\n{\n";
-    for (const Buffer& p : func->params) {
-        os << "    static " << cType(p->dtype) << " " << p->name << "["
-           << p->numel() << "];\n";
+    os << src.code << "\n#include <stdio.h>\n\nint main(void)\n{\n";
+    // Static storage is zero-filled, as the runtime allocates every
+    // slot the entry does not receive from its caller.
+    for (size_t s = 0; s < src.buffers.size(); ++s) {
+        os << "    static double tir_s" << s << "["
+           << src.buffers[s]->numel() << "];\n";
     }
-    size_t first_output =
-        func->params.size() - static_cast<size_t>(num_outputs);
-    for (size_t i = 0; i < first_output; ++i) {
-        const Buffer& p = func->params[i];
-        os << "    for (int64_t i = 0; i < " << p->numel()
-           << "; ++i) " << p->name << "[i] = (" << cType(p->dtype)
-           << ")((i % 7) - 3);\n";
+    for (size_t s = 0; s < first_output; ++s) {
+        os << "    for (int64_t i = 0; i < " << src.buffers[s]->numel()
+           << "; ++i) tir_s" << s << "[i] = (double)((i % 7) - 3);\n";
     }
-    os << "    " << func->name << "(";
-    for (size_t i = 0; i < func->params.size(); ++i) {
-        if (i) os << ", ";
-        os << func->params[i]->name;
+    os << "    double* tir_bufs[] = {";
+    for (size_t s = 0; s < src.buffers.size(); ++s) {
+        os << (s ? ", " : "") << "tir_s" << s;
     }
-    os << ");\n";
-    for (size_t i = first_output; i < func->params.size(); ++i) {
-        const Buffer& p = func->params[i];
+    os << "};\n    " << src.entry_symbol << "(tir_bufs, 0);\n";
+    for (size_t s = first_output; s < src.num_params; ++s) {
         os << "    { double sum = 0; for (int64_t i = 0; i < "
-           << p->numel() << "; ++i) sum += (double)" << p->name
+           << src.buffers[s]->numel() << "; ++i) sum += tir_s" << s
            << "[i]; printf(\"%.6e\\n\", sum); }\n";
     }
     os << "    return 0;\n}\n";

@@ -2,27 +2,15 @@
  * @file
  * C source backend for lowered (block-free) CPU functions.
  *
- * Two emission modes share the lowering front end:
- *
- *  - **Portable mode** (`emitC` / `emitStandaloneC`): buffer parameters
- *    become typed pointer arguments (`float*`, `int8_t*`, ...), loops
- *    become for statements, and tensor-intrinsic calls are routed to
- *    generic tile-MMA helper functions emitted in the preamble. This is
- *    the human-readable export path — code you hand to another build
- *    system.
- *  - **JIT mode** (`emitJitC`): the translation unit behind the native
- *    execution tier (runtime/jit.h). Every buffer is a `double*` over
- *    the runtime's NDArray storage and all arithmetic happens in the
- *    interpreter's two evaluation domains (int64 indices, double
- *    values), so a compiled kernel reproduces the tree-walker/VM
- *    results on the same inputs (see docs/EXECUTION.md for the exact
- *    parity contract). The emitted entry point also carries the
- *    engines' fuel accounting.
- *
- * Since PR 6 the codegen no longer merely closes the paper's pipeline
- * (schedule, validate, lower, generate code) as a pretty-printer: it
- * feeds the compile-load-run JIT engine that `runtime::execute` can
- * select at runtime.
+ * One emitter (`emitJitC`) writes the translation unit behind the
+ * native execution tier (runtime/jit.h). Every buffer is a `double*`
+ * over the runtime's NDArray storage and all arithmetic happens in the
+ * interpreter's two evaluation domains (int64 indices, double values),
+ * so a compiled kernel reproduces the tree-walker/VM results on the
+ * same inputs (see docs/EXECUTION.md for the exact parity contract).
+ * The emitted entry point also carries the engines' fuel accounting.
+ * `emitStandaloneC` wraps the same translation unit in a `main()` for
+ * the compile-and-run example and tests.
  */
 #ifndef TENSORIR_CODEGEN_C_CODEGEN_H
 #define TENSORIR_CODEGEN_C_CODEGEN_H
@@ -36,16 +24,12 @@ namespace tir {
 namespace codegen {
 
 /**
- * Emit a C function (plus required helpers) for a lowered CPU function.
- * Fatal on GPU thread bindings or remaining blocks.
- */
-std::string emitC(const PrimFunc& func);
-
-/**
- * Emit a standalone C program: the function, a main() that fills every
- * input deterministically, runs the function, and prints a checksum of
- * the outputs (one value per output buffer, `%.6e` format). Used by the
- * compile-and-run example and the codegen tests.
+ * Emit a standalone C program: emitJitC's translation unit plus a
+ * main() that zero-fills one `double` array per buffer slot, fills
+ * every input (the leading parameters before the last `num_outputs`)
+ * with `(i % 7) - 3`, calls the entry with no step limit, and prints
+ * one `%.6e` checksum per output. Used by the compile-and-run example
+ * and the codegen tests.
  */
 std::string emitStandaloneC(const PrimFunc& func, int num_outputs);
 

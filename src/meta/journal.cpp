@@ -206,7 +206,6 @@ journalIdentity(uint64_t workload_hash, const TuneOptions& options)
        << token(options.measure_backend) << " " << options.measure_warmup
        << " " << options.measure_repeats_real << " "
        << doubleBitsHex(options.compile_budget_ms) << " "
-       << options.measure_pin_cpu << " "
        // So are the candidate filters and evaluation limits: each one
        // decides which candidates survive.
        << options.lint_filter << " " << options.numeric_check_topk << " "

@@ -65,8 +65,9 @@ namespace meta {
 std::string journalIdentity(uint64_t workload_hash,
                             const TuneOptions& options);
 
-/** One survivor: decision trace + measured latency. The program itself
- *  is re-derived from the decisions on restore. */
+/** One survivor of the search's population, as the search holds it
+ *  and the journal stores it: the decision trace (read by mutation)
+ *  and the measured latency (read by survival). */
 struct JournalIndividual
 {
     double latency_us = 0;

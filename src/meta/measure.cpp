@@ -7,11 +7,8 @@
 #include "meta/runner.h"
 #include "runtime/interpreter.h"
 #include "runtime/jit.h"
-#include "runtime/vm.h"
-#include "support/cpu_pin.h"
 #include "support/env.h"
 #include "support/logging.h"
-#include "support/rng.h"
 #include "support/trace.h"
 
 namespace tir {
@@ -39,12 +36,6 @@ HwsimMeasurer::measure(const PrimFunc& func,
     return m;
 }
 
-bool
-resolveIsolate(bool fallback)
-{
-    return support::envFlag("TENSORIR_ISOLATE", fallback);
-}
-
 double
 resolveMeasureTimeoutMs(double fallback)
 {
@@ -63,63 +54,21 @@ resolveRunnerRetries(int fallback)
 }
 
 JitMeasurer::JitMeasurer(PrimFunc workload, MeasureConfig config)
-    : workload_(std::move(workload)), config_(std::move(config))
+    : config_(std::move(config))
 {
-    if (config_.isolate && MeasureRunner::available()) {
-        RunnerConfig rc;
-        rc.timeout_ms = config_.timeout_ms;
-        rc.retries = config_.retries;
-        rc.backoff_ms = config_.backoff_ms;
-        rc.seed = config_.seed;
-        // Pre-forks here, in the measurer's constructor — before the
-        // search builds its thread pool (search.cpp constructs the
-        // backend first), so the initial forks see a single-threaded
-        // process.
-        runner_ =
-            std::make_unique<MeasureRunner>(workload_, std::move(rc));
-    }
+    RunnerConfig rc;
+    rc.timeout_ms = config_.timeout_ms;
+    rc.retries = config_.retries;
+    rc.backoff_ms = config_.backoff_ms;
+    rc.seed = config_.seed;
+    // Pre-forks here, in the measurer's constructor — before the
+    // search builds its thread pool (search.cpp constructs the backend
+    // first), so the initial forks see a single-threaded process.
+    runner_ = std::make_unique<MeasureRunner>(std::move(workload),
+                                              std::move(rc));
 }
 
 JitMeasurer::~JitMeasurer() = default;
-
-bool
-JitMeasurer::isolationActive() const
-{
-    return runner_ != nullptr && !runner_degraded_;
-}
-
-bool
-JitMeasurer::ensureArguments()
-{
-    if (arg_state_ != 0) return arg_state_ > 0;
-    try {
-        // A derivation stream disjoint from every candidate stream
-        // (generation + 1 indices) and from the numeric oracle's
-        // (0, ~0), so measurement inputs never correlate with schedule
-        // sampling or the spot-check data.
-        Rng rng = Rng::derive(config_.seed, ~uint64_t{0}, 1);
-        for (const Buffer& param : workload_->params) {
-            std::vector<int64_t> shape;
-            for (size_t d = 0; d < param->ndim(); ++d) {
-                shape.push_back(param->shapeInt(d));
-            }
-            runtime::NDArray array(param->dtype, shape);
-            if (param->dtype.isInt()) {
-                array.fillRandom(rng, -4, 4);
-            } else {
-                array.fillRandom(rng);
-            }
-            args_.push_back(std::move(array));
-        }
-        for (runtime::NDArray& a : args_) arg_ptrs_.push_back(&a);
-        arg_state_ = 1;
-    } catch (const std::exception&) {
-        args_.clear();
-        arg_ptrs_.clear();
-        arg_state_ = -1;
-    }
-    return arg_state_ > 0;
-}
 
 Measurement
 JitMeasurer::measure(const PrimFunc& func,
@@ -135,21 +84,23 @@ JitMeasurer::measure(const PrimFunc& func,
         span.addArg(trace::arg("valid", int64_t{0}));
         return m;
     }
-    auto compile_start = std::chrono::steady_clock::now();
-    std::shared_ptr<const runtime::JitModule> module =
-        runtime::jitCompile(func);
-    double compile_ms = elapsedUs(compile_start) / 1000.0;
-    if (!module) {
-        // Native execution impossible (no toolchain, GPU thread
-        // bindings, compiler failure): serve the analytical estimate
-        // so the tune proceeds instead of rejecting every candidate.
+    // Native timing impossible (no toolchain, GPU thread bindings,
+    // compiler failure, no worker): serve the analytical estimate so
+    // the tune proceeds instead of rejecting every candidate.
+    auto fallBack = [&]() {
         m.latency_us = estimate.latency_us;
         m.fallback = true;
         trace::counterAdd("measure.jit_fallbacks", 1);
         span.addArg(trace::arg("fallback", int64_t{1}));
         m.wall_us = elapsedUs(wall_start);
         return m;
-    }
+    };
+    if (runner_unavailable_) return fallBack();
+    auto compile_start = std::chrono::steady_clock::now();
+    std::shared_ptr<const runtime::JitModule> module =
+        runtime::jitCompile(func);
+    double compile_ms = elapsedUs(compile_start) / 1000.0;
+    if (!module) return fallBack();
     if (config_.compile_budget_ms > 0 &&
         compile_ms > config_.compile_budget_ms) {
         m.compile_timeout = true;
@@ -158,98 +109,50 @@ JitMeasurer::measure(const PrimFunc& func,
         m.wall_us = elapsedUs(wall_start);
         return m;
     }
-    if (runner_ && !runner_degraded_) {
-        // Isolated path: ship the compiled object to a forked worker
-        // and let *it* dlopen and run the kernel — generated-code
-        // death (SIGSEGV, abort, a native infinite loop) is contained
-        // to the worker and comes back as a classification instead of
-        // taking this process down.
-        RunnerRequest req;
-        req.object_path = module->objectPath();
-        req.entry_symbol = module->entrySymbol();
-        req.num_params = module->numParams();
-        const std::vector<Buffer>& slots = module->buffers();
-        for (size_t s = module->numParams(); s < slots.size(); ++s) {
-            int64_t count = 1;
-            for (size_t d = 0; d < slots[s]->ndim(); ++d) {
-                count *= slots[s]->shapeInt(d);
-            }
-            req.local_counts.push_back(count);
-        }
-        req.warmup = config_.warmup;
-        req.repeats = std::max(1, config_.repeats);
-        req.step_limit = runtime::Interpreter::defaultStepLimit();
-        req.pin_cpu = config_.pin_cpu;
-        req.key = structuralHash(func);
-        RunnerResult outcome = runner_->run(req);
-        switch (outcome.status) {
-          case RunnerStatus::kOk:
-            m.latency_us = outcome.latency_us;
-            span.addArg(trace::arg("latency_us", m.latency_us));
-            m.wall_us = elapsedUs(wall_start);
-            return m;
-          case RunnerStatus::kReject:
-            // The kernel ran and rejected itself (fuel exhaustion,
-            // injected fault): same verdict as the in-process catch
-            // block — latency stays infinity.
-            span.addArg(trace::arg("valid", int64_t{0}));
-            m.wall_us = elapsedUs(wall_start);
-            return m;
-          case RunnerStatus::kCrash:
-            m.crashed = true;
-            trace::counterAdd("measure.crashes", 1);
-            span.addArg(trace::arg("crashed", int64_t{1}));
-            m.wall_us = elapsedUs(wall_start);
-            return m;
-          case RunnerStatus::kHang:
-            m.hanged = true;
-            trace::counterAdd("measure.hangs", 1);
-            span.addArg(trace::arg("hanged", int64_t{1}));
-            m.wall_us = elapsedUs(wall_start);
-            return m;
-          case RunnerStatus::kUnavailable:
-            // Every transient retry failed (or fork is impossible):
-            // degrade to the in-process path for the rest of this
-            // tune instead of re-paying the startup backoff per
-            // candidate. PR 8 behaviour, minus the isolation.
-            runner_degraded_ = true;
-            trace::counterAdd("measure.isolation_degraded", 1);
-            break;
-        }
+    // Ship the compiled object to a forked worker and let *it* dlopen
+    // and run the kernel — generated-code death (SIGSEGV, abort, a
+    // native infinite loop) is contained to the worker and comes back
+    // as a classification instead of taking this process down.
+    RunnerRequest req;
+    req.object_path = module->objectPath();
+    req.entry_symbol = module->entrySymbol();
+    req.num_params = module->numParams();
+    const std::vector<Buffer>& slots = module->buffers();
+    for (size_t s = module->numParams(); s < slots.size(); ++s) {
+        req.local_counts.push_back(slots[s]->numel());
     }
-    if (!ensureArguments()) {
-        m.latency_us = estimate.latency_us;
-        m.fallback = true;
-        trace::counterAdd("measure.jit_fallbacks", 1);
-        m.wall_us = elapsedUs(wall_start);
-        return m;
-    }
-    support::ScopedCpuPin pin(config_.pin_cpu);
-    try {
-        for (int i = 0; i < config_.warmup; ++i) {
-            module->run(arg_ptrs_);
-        }
-        int repeats = std::max(1, config_.repeats);
-        std::vector<double> samples(static_cast<size_t>(repeats));
-        for (int i = 0; i < repeats; ++i) {
-            auto run_start = std::chrono::steady_clock::now();
-            module->run(arg_ptrs_);
-            samples[static_cast<size_t>(i)] = elapsedUs(run_start);
-        }
-        auto mid = samples.begin() +
-                   static_cast<std::ptrdiff_t>(samples.size() / 2);
-        std::nth_element(samples.begin(), mid, samples.end());
-        // Clamp to a nanosecond: a kernel faster than the clock's
-        // resolution must still report a positive latency (zero would
-        // poison the fitness weights and the log1p training target).
-        m.latency_us = std::max(*mid, 1e-3);
+    req.warmup = config_.warmup;
+    req.repeats = std::max(1, config_.repeats);
+    req.step_limit = runtime::Interpreter::defaultStepLimit();
+    req.key = structuralHash(func);
+    RunnerResult outcome = runner_->run(req);
+    switch (outcome.status) {
+      case RunnerStatus::kOk:
+        m.latency_us = outcome.latency_us;
         span.addArg(trace::arg("latency_us", m.latency_us));
-    } catch (const std::exception&) {
-        // A failed native execution (fuel exhaustion, injected fault)
-        // rejects the candidate like a device-invalid one; latency
-        // stays infinity. Contained per candidate, never process death.
-        m.latency_us = std::numeric_limits<double>::infinity();
+        break;
+      case RunnerStatus::kReject:
+        // The kernel ran and rejected itself (fuel exhaustion, injected
+        // fault): the candidate is invalid, latency stays infinity.
         span.addArg(trace::arg("valid", int64_t{0}));
+        break;
+      case RunnerStatus::kCrash:
+        m.crashed = true;
+        trace::counterAdd("measure.crashes", 1);
+        span.addArg(trace::arg("crashed", int64_t{1}));
+        break;
+      case RunnerStatus::kHang:
+        m.hanged = true;
+        trace::counterAdd("measure.hangs", 1);
+        span.addArg(trace::arg("hanged", int64_t{1}));
+        break;
+      case RunnerStatus::kUnavailable:
+        // Every transient retry failed: serve the estimate for the rest
+        // of this tune instead of re-paying the startup backoff per
+        // candidate.
+        runner_unavailable_ = true;
+        trace::counterAdd("measure.runner_unavailable", 1);
+        return fallBack();
     }
     m.wall_us = elapsedUs(wall_start);
     return m;
@@ -265,14 +168,10 @@ makeMeasureBackend(const std::string& name, const PrimFunc& workload,
     TIR_CHECK(name == "jit")
         << "TuneOptions::measure_backend \"" << name
         << "\" is not a backend name (expected hwsim or jit)";
-    // Isolation knobs resolve environment-over-config here (strictly:
-    // a malformed value fails the tune up front), so TuneOptions and
-    // the journal header stay unchanged — a journaled trajectory
-    // replays identically whether its measurements ran isolated or
-    // in-process, because every committed latency and classification
-    // is journaled.
+    // Runner knobs resolve environment-over-config here (strictly: a
+    // malformed value fails the tune up front), so TuneOptions and the
+    // journal header stay unchanged.
     MeasureConfig resolved = config;
-    resolved.isolate = resolveIsolate(resolved.isolate);
     resolved.timeout_ms = resolveMeasureTimeoutMs(resolved.timeout_ms);
     resolved.retries = resolveRunnerRetries(resolved.retries);
     return std::make_unique<JitMeasurer>(workload, resolved);

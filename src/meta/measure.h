@@ -11,13 +11,13 @@
  *    and the only backend whose results replay without a journal.
  *  - **JitMeasurer** — real host wall clock. The candidate is compiled
  *    through the native tier (runtime/jit.h) and timed on seeded
- *    inputs with steady-state discipline: configurable untimed warmup
- *    runs, then median-of-k timed repeats on std::chrono::steady_clock,
- *    optionally with the measuring thread pinned to its current CPU.
- *    A per-candidate compile budget rejects kernels whose native
- *    compile ran too long (Measurement::compile_timeout). Candidates
- *    the native tier cannot run — GPU thread bindings, a missing
- *    toolchain — fall back to the analytical estimate
+ *    inputs in a forked worker (meta/runner.h) with steady-state
+ *    discipline: configurable untimed warmup runs, then median-of-k
+ *    timed repeats on std::chrono::steady_clock. A per-candidate
+ *    compile budget rejects kernels whose native compile ran too long
+ *    (Measurement::compile_timeout). Candidates the native tier cannot
+ *    run — GPU thread bindings, a missing toolchain, no measurement
+ *    worker — fall back to the analytical estimate
  *    (Measurement::fallback) instead of failing the tune.
  *
  * In both backends the device model stays the *validity* oracle: a
@@ -37,10 +37,8 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "hwsim/device.h"
-#include "runtime/ndarray.h"
 
 namespace tir {
 namespace meta {
@@ -54,8 +52,8 @@ struct Measurement
      *  native execution). */
     double latency_us = std::numeric_limits<double>::infinity();
     /** The wall-clock backend served the analytical estimate instead
-     *  of timing native code (unsupported construct or no toolchain).
-     *  Always false for HwsimMeasurer. */
+     *  of timing native code (unsupported construct, no toolchain, or
+     *  no measurement worker). Always false for HwsimMeasurer. */
     bool fallback = false;
     /** The native compile exceeded MeasureConfig::compile_budget_ms.
      *  The candidate was rejected before any run; latency_us is
@@ -98,20 +96,9 @@ struct MeasureConfig
      *  candidate is rejected so one pathological kernel cannot slow
      *  every later generation (the verdict is memoised upstream). */
     double compile_budget_ms = 0;
-    /** Pin the measuring thread to its current CPU for the duration of
-     *  each measurement (reduces migration noise; Linux only, silently
-     *  unavailable elsewhere). */
-    bool pin_cpu = false;
     /** Seed for the measurement input tensors (derived onto a stream
      *  no candidate or oracle RNG uses). */
     uint64_t seed = 1;
-    /** Run each native timing loop in a forked worker process
-     *  (meta/runner.h) so a segfaulting or hanging candidate kills a
-     *  disposable worker, never the tune. Defaults on; makeMeasureBackend
-     *  resolves TENSORIR_ISOLATE over it, and the backend degrades to
-     *  the in-process path when fork is unavailable or every worker
-     *  startup attempt fails. */
-    bool isolate = true;
     /** Hard wall-clock budget per isolated measurement, in
      *  milliseconds, enforced by SIGKILL on the worker; 0 = unlimited.
      *  makeMeasureBackend resolves TENSORIR_MEASURE_TIMEOUT_MS over
@@ -126,11 +113,6 @@ struct MeasureConfig
      *  (doubled per subsequent retry). */
     int backoff_ms = 50;
 };
-
-/** TENSORIR_ISOLATE resolved over `fallback` ("1"/"on" → true,
- *  "0"/"off" → false; unset/empty → fallback; anything else raises
- *  FatalError). Exposed for the env-parsing regression tests. */
-bool resolveIsolate(bool fallback);
 
 /** TENSORIR_MEASURE_TIMEOUT_MS resolved over `fallback` (strict
  *  unsigned parse, ≤ 86,400,000 ms; 0 = unlimited; garbage raises
@@ -173,16 +155,19 @@ class HwsimMeasurer : public MeasureBackend
 
 class MeasureRunner;
 
-/** The wall-clock backend: native compile + timed host execution.
- *  With MeasureConfig::isolate (the default) the timing loop runs in a
- *  forked worker process (meta/runner.h); the compile, validity
- *  oracle, and accounting stay in this process. */
+/** The wall-clock backend: native compile + timed host execution. The
+ *  timing loop always runs in a forked worker process (meta/runner.h);
+ *  the compile, validity oracle, and accounting stay in this process.
+ *  When no worker can be started (every startup retry failed), this
+ *  and every later measurement of the tune serve the analytical
+ *  estimate, like a missing toolchain. */
 class JitMeasurer : public MeasureBackend
 {
   public:
     /** `workload` is the unscheduled function whose parameter shapes
      *  define the measurement input tensors (every candidate schedules
-     *  the same workload, so the tensors are built once, lazily). */
+     *  the same workload, so each worker builds them once). Forks the
+     *  worker here, before the search builds its thread pool. */
     JitMeasurer(PrimFunc workload, MeasureConfig config);
     ~JitMeasurer() override;
 
@@ -191,27 +176,14 @@ class JitMeasurer : public MeasureBackend
     Measurement measure(const PrimFunc& func,
                         const hwsim::RunEstimate& estimate) override;
 
-    /** Whether the isolated path is currently in use (false when
-     *  disabled by config/env, unsupported, or degraded after
-     *  exhausted worker startup retries). Exposed for tests. */
-    bool isolationActive() const;
-
   private:
-    /** Build the seeded argument tensors on first use; false when they
-     *  cannot be built (the caller falls back to the estimate). */
-    bool ensureArguments();
-
-    PrimFunc workload_;
     MeasureConfig config_;
-    std::vector<runtime::NDArray> args_;
-    std::vector<runtime::NDArray*> arg_ptrs_;
-    int arg_state_ = 0; // 0 = unbuilt, 1 = ready, -1 = unavailable
-    /** Fork-server pool (null when isolation is off or unsupported). */
+    /** The fork-server pool that runs every timing loop. */
     std::unique_ptr<MeasureRunner> runner_;
-    /** Set after a kUnavailable outcome: every later measurement goes
-     *  straight to the in-process path instead of re-paying the
-     *  startup retry/backoff per candidate. */
-    bool runner_degraded_ = false;
+    /** Set after a kUnavailable outcome: every later measurement serves
+     *  the estimate instead of re-paying the startup retry/backoff per
+     *  candidate. */
+    bool runner_unavailable_ = false;
 };
 
 /** Backend factory for TuneOptions::measure_backend: "" or "hwsim" →

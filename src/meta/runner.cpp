@@ -9,8 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TENSORIR_RUNNER_POSIX 1
 #include <dirent.h>
 #include <dlfcn.h>
 #include <poll.h>
@@ -18,10 +16,8 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
-#include "runtime/ndarray.h"
-#include "support/cpu_pin.h"
+#include "runtime/interpreter.h"
 #include "support/double_bits.h"
 #include "support/failpoint.h"
 #include "support/frame.h"
@@ -42,8 +38,6 @@ runnerStatusName(RunnerStatus status)
       default: return "unavailable";
     }
 }
-
-#if TENSORIR_RUNNER_POSIX
 
 namespace {
 
@@ -137,9 +131,7 @@ childReadFrame(int fd, std::string& buffer, std::string* body)
 }
 
 /** The worker's argument tensors, built once per worker from the
- *  workload inherited at fork time — the same derivation stream as
- *  JitMeasurer::ensureArguments, so isolated and in-process
- *  measurements run identical inputs. */
+ *  workload inherited at fork time. */
 struct ChildArguments
 {
     std::vector<runtime::NDArray> arrays;
@@ -151,20 +143,12 @@ buildChildArguments(const PrimFunc& workload, uint64_t seed)
 {
     ChildArguments out;
     try {
+        // A derivation stream disjoint from every candidate stream
+        // (generation + 1 indices) and from the numeric oracle's
+        // (0, ~0), so measurement inputs never correlate with schedule
+        // sampling or the spot-check data.
         Rng rng = Rng::derive(seed, ~uint64_t{0}, 1);
-        for (const Buffer& param : workload->params) {
-            std::vector<int64_t> shape;
-            for (size_t d = 0; d < param->ndim(); ++d) {
-                shape.push_back(param->shapeInt(d));
-            }
-            runtime::NDArray array(param->dtype, shape);
-            if (param->dtype.isInt()) {
-                array.fillRandom(rng, -4, 4);
-            } else {
-                array.fillRandom(rng);
-            }
-            out.arrays.push_back(std::move(array));
-        }
+        out.arrays = runtime::seededArguments(workload, rng);
         out.ok = true;
     } catch (const std::exception&) {
         out.arrays.clear();
@@ -180,7 +164,7 @@ childHandleRequest(const std::string& body, ChildArguments& args)
     std::istringstream is(body);
     std::string line, tag, entry_symbol, object_path;
     size_t num_params = 0;
-    int warmup = 0, repeats = 1, pin = 0;
+    int warmup = 0, repeats = 1;
     unsigned long long step_limit = 0, key = 0;
     std::vector<int64_t> local_counts;
     while (std::getline(is, line)) {
@@ -188,7 +172,7 @@ childHandleRequest(const std::string& body, ChildArguments& args)
         ls >> tag;
         if (tag == "run") {
             ls >> entry_symbol >> num_params >> warmup >> repeats >>
-                step_limit >> pin >> key;
+                step_limit >> key;
             if (ls.fail()) return "reject protocol";
         } else if (tag == "locals") {
             size_t n = 0;
@@ -245,10 +229,6 @@ childHandleRequest(const std::string& body, ChildArguments& args)
                 static_cast<size_t>(std::max<int64_t>(count, 0)), 0.0);
             bufs.push_back(locals.back().data());
         }
-        // The pin lives in the child on purpose: a pin held across a
-        // fork would leak into respawned workers and never be restored
-        // (see support/cpu_pin.h). Process exit discards it.
-        support::ScopedCpuPin cpu_pin(pin != 0);
         auto run_once = [&]() -> int64_t {
             return entry(bufs.data(), static_cast<int64_t>(step_limit));
         };
@@ -271,8 +251,10 @@ childHandleRequest(const std::string& body, ChildArguments& args)
                 auto mid = samples.begin() +
                            static_cast<std::ptrdiff_t>(samples.size() / 2);
                 std::nth_element(samples.begin(), mid, samples.end());
-                // Same clamp as the in-process path: a kernel faster
-                // than the clock must still report a positive latency.
+                // Clamp to a nanosecond: a kernel faster than the
+                // clock's resolution must still report a positive
+                // latency (zero would poison the fitness weights and
+                // the log1p training target).
                 reply = "ok " +
                         support::doubleBitsHex(std::max(*mid, 1e-3));
             }
@@ -315,12 +297,6 @@ monotonicMs()
 }
 
 } // namespace
-
-bool
-MeasureRunner::available()
-{
-    return true;
-}
 
 MeasureRunner::MeasureRunner(PrimFunc workload, RunnerConfig config)
     : workload_(std::move(workload)), config_(std::move(config))
@@ -474,8 +450,7 @@ MeasureRunner::run(const RunnerRequest& request)
     std::ostringstream body;
     body << "run " << request.entry_symbol << " " << request.num_params
          << " " << request.warmup << " " << request.repeats << " "
-         << request.step_limit << " " << (request.pin_cpu ? 1 : 0)
-         << " " << request.key << "\n";
+         << request.step_limit << " " << request.key << "\n";
     body << "locals " << request.local_counts.size();
     for (int64_t c : request.local_counts) body << " " << c;
     body << "\n";
@@ -602,46 +577,6 @@ MeasureRunner::run(const RunnerRequest& request)
     span.addArg(trace::arg("status", "unavailable"));
     return result;
 }
-
-#else // !TENSORIR_RUNNER_POSIX
-
-bool
-MeasureRunner::available()
-{
-    return false;
-}
-
-MeasureRunner::MeasureRunner(PrimFunc workload, RunnerConfig config)
-    : workload_(std::move(workload)), config_(std::move(config))
-{
-}
-
-MeasureRunner::~MeasureRunner() = default;
-
-bool
-MeasureRunner::spawnWorker(Worker&)
-{
-    return false;
-}
-
-void
-MeasureRunner::destroyWorker(Worker&, bool)
-{
-}
-
-int
-MeasureRunner::reapWorker(Worker&)
-{
-    return -1;
-}
-
-RunnerResult
-MeasureRunner::run(const RunnerRequest&)
-{
-    return RunnerResult{};
-}
-
-#endif // TENSORIR_RUNNER_POSIX
 
 } // namespace meta
 } // namespace tir

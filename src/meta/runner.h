@@ -39,19 +39,18 @@
  *  - a worker that dies *before* the kernel ran (startup failure,
  *    clean exit without a reply) is **transient**: respawned and
  *    retried with bounded exponential backoff;
- *  - retries exhausted (or fork unavailable on this platform) is
- *    **unavailable**: the caller degrades to the in-process timing
- *    path, preserving PR 8 behaviour.
+ *  - retries exhausted is **unavailable**: the caller serves the
+ *    analytical estimate for the rest of the tune.
  *
- * Fork-safety invariants (see also support/cpu_pin.h and the FileLock
- * notes in runtime/jit.cpp): workers are spawned from the measurer's
+ * Fork-safety invariants (see also the FileLock notes in
+ * runtime/jit.cpp): workers are spawned from the measurer's
  * constructor — before the search's thread pool exists — and respawned
  * only from the sequential measurement fold, while pool workers are
- * parked on their condition variable; no ScopedCpuPin or flock is ever
- * held across the fork (the CPU pin is taken *inside* the child). The
- * child closes every inherited descriptor except its two pipe ends and
- * stdio, and leaves via _exit so no parent-owned destructor (journal
- * stream, trace session, dlopen handles) runs twice.
+ * parked on their condition variable; no flock is ever held across the
+ * fork. The child closes every inherited descriptor except its two
+ * pipe ends and stdio, and leaves via _exit so no parent-owned
+ * destructor (journal stream, trace session, dlopen handles) runs
+ * twice.
  *
  * Deterministic fault injection: the child evaluates the data-keyed
  * failpoint sites `runner.crash` (abort → SIGABRT), `runner.segv`
@@ -88,9 +87,8 @@ enum class RunnerStatus : uint8_t
     /** The worker exceeded the wall-clock budget and was SIGKILLed.
      *  Never retried. */
     kHang,
-    /** No isolated measurement could be made: fork unavailable, or
-     *  every transient retry failed. The caller should fall back to
-     *  the in-process path. */
+    /** No isolated measurement could be made: every transient retry
+     *  failed. The caller serves the analytical estimate instead. */
     kUnavailable,
 };
 
@@ -101,7 +99,7 @@ const char* runnerStatusName(RunnerStatus status);
 /** One isolated measurement request: where the compiled kernel lives
  *  and how to time it. The argument tensors are *not* part of the
  *  request — the worker inherited the workload at fork time and builds
- *  them from the shared seed, identically to JitMeasurer. */
+ *  them from RunnerConfig::seed. */
 struct RunnerRequest
 {
     /** Cached shared object of the candidate (JitModule::objectPath). */
@@ -122,8 +120,6 @@ struct RunnerRequest
     /** Interpreter fuel budget per run (0 = unlimited), resolved by
      *  the parent so the child matches JitModule::run exactly. */
     uint64_t step_limit = 0;
-    /** Pin the worker to its current CPU for this measurement. */
-    bool pin_cpu = false;
     /** Candidate identity (structural hash) keying the child-side
      *  failpoints, so chaos schedules crash the *same* candidates at
      *  every parallelism setting. */
@@ -165,9 +161,7 @@ struct RunnerConfig
     /** Backoff before the first retry, in milliseconds; doubles per
      *  subsequent retry. */
     int backoff_ms = 50;
-    /** Seed for the worker's argument tensors; must match the
-     *  in-process path's MeasureConfig::seed so isolated and fallback
-     *  measurements run the same inputs. */
+    /** Seed for the worker's argument tensors (MeasureConfig::seed). */
     uint64_t seed = 1;
 };
 
@@ -186,10 +180,6 @@ class MeasureRunner
     ~MeasureRunner();
     MeasureRunner(const MeasureRunner&) = delete;
     MeasureRunner& operator=(const MeasureRunner&) = delete;
-
-    /** Whether this platform supports process isolation at all
-     *  (fork + pipes + waitpid). */
-    static bool available();
 
     /** Execute one isolated measurement, classifying the outcome and
      *  transparently respawning/retrying transient worker failures. */

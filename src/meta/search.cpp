@@ -304,14 +304,6 @@ mutate(const std::vector<Decision>& decisions, Rng& rng)
     return result;
 }
 
-/** A measured survivor in the population. */
-struct Individual
-{
-    std::vector<Decision> decisions;
-    PrimFunc func;
-    double latency_us = std::numeric_limits<double>::infinity();
-};
-
 /**
  * Wall-clock watchdog for one pipeline stage. Expiry is cooperative:
  * threads cannot be killed safely, so workers poll expired() before
@@ -410,6 +402,11 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             trace::arg("generations",
                        static_cast<int64_t>(options.generations)));
     double search_start = trace::nowSeconds();
+    // Interpreter fuel for every evaluation under this search (the
+    // numeric spot-checks and the measurement worker's runs): a
+    // pathological candidate aborts with a structured EvalError (a
+    // contained runtime reject) instead of hanging the session.
+    runtime::ScopedStepLimit step_limit(options.eval_step_limit);
     // Numeric engine for every runtime::execute under this search
     // (the numeric spot-checks); "" inherits the ambient selection.
     runtime::ScopedEngine engine_scope(resolveEngineOption(options));
@@ -419,7 +416,6 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     measure_config.warmup = options.measure_warmup;
     measure_config.repeats = options.measure_repeats_real;
     measure_config.compile_budget_ms = options.compile_budget_ms;
-    measure_config.pin_cpu = options.measure_pin_cpu;
     measure_config.seed = options.seed;
     std::unique_ptr<MeasureBackend> measurer = makeMeasureBackend(
         options.measure_backend, workload, measure_config);
@@ -435,7 +431,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     std::vector<FeatureVec> train_x;
     std::vector<double> train_y;
     MemoCache memo;
-    std::vector<Individual> population;
+    std::vector<JournalIndividual> population;
     result.timings.watchdog_timeout_s = options.stage_timeout_s;
 
     // Checkpoint journal (opened below) and what changed since its last
@@ -664,19 +660,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             // oracle inputs never correlate with schedule sampling.
             Rng rng = Rng::derive(options.seed, 0,
                                   ~uint64_t{0});
-            for (const Buffer& param : workload->params) {
-                std::vector<int64_t> shape;
-                for (size_t d = 0; d < param->ndim(); ++d) {
-                    shape.push_back(param->shapeInt(d));
-                }
-                runtime::NDArray array(param->dtype, shape);
-                if (param->dtype.isInt()) {
-                    array.fillRandom(rng, -4, 4);
-                } else {
-                    array.fillRandom(rng);
-                }
-                oracle_inputs.push_back(std::move(array));
-            }
+            oracle_inputs = runtime::seededArguments(workload, rng);
             oracle_outputs = oracle_inputs;
             std::vector<runtime::NDArray*> out_ptrs;
             for (runtime::NDArray& a : oracle_outputs) {
@@ -769,13 +753,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             result.history = last.history;
             result.generations_replayed =
                 static_cast<int>(section->generations.size());
-            for (const JournalIndividual& ind : last.population) {
-                // The program itself is never read from a survivor —
-                // only its decisions (for mutation) and latency (for
-                // survival) — so it is not re-derived here.
-                population.push_back(
-                    {ind.decisions, PrimFunc(), ind.latency_us});
-            }
+            population = last.population;
             for (const JournalGeneration& g : section->generations) {
                 for (const JournalSample& s : g.new_samples) {
                     train_x.push_back(s.features);
@@ -850,9 +828,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
         g.best_latency_us = result.best_latency_us;
         g.best_decisions = result.best_decisions;
         g.history = result.history;
-        for (const Individual& ind : population) {
-            g.population.push_back({ind.latency_us, ind.decisions});
-        }
+        g.population = population;
         for (size_t i = journal_samples_flushed; i < train_x.size();
              ++i) {
             g.new_samples.push_back({train_x[i], train_y[i]});
@@ -916,8 +892,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             if (!numericGate(c, init_checked)) continue;
             double latency = commitMeasurement(c);
             if (std::isfinite(latency)) {
-                population.push_back({std::move(c.decisions),
-                                      std::move(c.func), latency});
+                population.push_back({latency, std::move(c.decisions)});
             }
         }
     }
@@ -960,7 +935,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
         }
         // Parents weighted by fitness (inverse latency).
         std::vector<double> weights;
-        for (const Individual& ind : population) {
+        for (const JournalIndividual& ind : population) {
             weights.push_back(1.0 / (1e-6 + ind.latency_us));
         }
         // Children by mutation. Each child's RNG derives from
@@ -972,7 +947,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             Rng rng = Rng::derive(options.seed,
                                   static_cast<uint64_t>(gen) + 1,
                                   static_cast<uint64_t>(c));
-            const Individual& parent =
+            const JournalIndividual& parent =
                 population[rng.weightedChoice(weights)];
             Candidate& child = batch[static_cast<size_t>(c)];
             child.overrides = mutate(parent.decisions, rng);
@@ -1068,13 +1043,14 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             if (!numericGate(cand, gen_checked)) continue;
             double latency = commitMeasurement(cand);
             if (std::isfinite(latency)) {
-                population.push_back({std::move(cand.decisions),
-                                      std::move(cand.func), latency});
+                population.push_back(
+                    {latency, std::move(cand.decisions)});
             }
         }
         // Keep the fittest individuals.
         std::stable_sort(population.begin(), population.end(),
-                         [](const Individual& a, const Individual& b) {
+                         [](const JournalIndividual& a,
+                            const JournalIndividual& b) {
                              return a.latency_us < b.latency_us;
                          });
         if (static_cast<int>(population.size()) > options.population) {
@@ -1119,14 +1095,9 @@ autoTune(const TuneTask& task, const hwsim::DeviceModel& device,
     trace::SessionGuard trace_session(options.trace_path);
     trace::Span tune_span("meta.auto_tune",
                           trace::arg("workload", task.func->name));
-    // Interpreter fuel for every evaluation under this tune: a
-    // pathological candidate aborts with a structured EvalError (a
-    // contained runtime reject) instead of hanging the session.
-    runtime::ScopedStepLimit step_limit(options.eval_step_limit);
-    // Numeric engine for candidate evaluation under this tune (see
-    // TuneOptions::engine); evolutionarySearch re-installs the same
-    // override, which is harmless.
-    runtime::ScopedEngine engine_scope(resolveEngineOption(options));
+    // A malformed engine name fails the tune even when a database
+    // record would skip the search (which installs the engine scope).
+    resolveEngineOption(options);
     // A fresh (non-resumed) session starts its journal from scratch;
     // a resumed one must keep the records it is about to replay.
     if (!options.journal_path.empty() && !options.resume) {

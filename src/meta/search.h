@@ -109,12 +109,13 @@ struct TuneOptions
      * (meta/measure.h). "" or "hwsim" (the default) scores candidates
      * with the analytical device model — deterministic and instant.
      * "jit" compiles each candidate through the native tier
-     * (runtime/jit.h) and times it on the host CPU with warmup +
-     * median-of-k repeats on std::chrono::steady_clock. The device
-     * model remains the validity oracle either way; under "jit",
-     * candidates the native tier cannot run (GPU thread bindings,
-     * missing toolchain) fall back to the analytical estimate, counted
-     * in TuneResult::measure_fallbacks.
+     * (runtime/jit.h) and times it on the host CPU in a forked worker
+     * with warmup + median-of-k repeats on std::chrono::steady_clock.
+     * The device model remains the validity oracle either way; under
+     * "jit", candidates the native tier cannot run (GPU thread
+     * bindings, missing toolchain, no measurement worker) fall back to
+     * the analytical estimate, counted in
+     * TuneResult::measure_fallbacks.
      * A malformed name raises FatalError up front.
      */
     std::string measure_backend;
@@ -130,10 +131,6 @@ struct TuneOptions
      *  as a trial; duplicates reject from the memo without re-invoking
      *  the compiler. 0 = unlimited. */
     double compile_budget_ms = 0;
-    /** Wall-clock backends: pin the measuring thread to its current
-     *  CPU during each measurement (less migration noise; Linux only,
-     *  silently unavailable elsewhere). */
-    bool measure_pin_cpu = false;
     /**
      * Worker threads for the pipeline (candidate instantiation, feature
      * extraction, cost-model fit). 0 (the default) resolves to the
@@ -337,8 +334,8 @@ struct TuneCounters
      *  violation, or (wall-clock backends) a failed native execution. */
     int measured_invalid = 0;
     /** Measurements the wall-clock backend served from the analytical
-     *  model instead of native timing (unsupported construct or
-     *  missing toolchain). */
+     *  model instead of native timing (unsupported construct, missing
+     *  toolchain, or no measurement worker). */
     int measure_fallbacks = 0;
     /** Cost-model retrains that failed (threw, or produced a non-finite
      *  loss) and fell back to the last good model. */

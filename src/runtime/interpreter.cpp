@@ -148,6 +148,26 @@ ScopedStepLimit::~ScopedStepLimit()
     stepLimitOverride() = saved_;
 }
 
+std::vector<NDArray>
+seededArguments(const PrimFunc& func, Rng& rng)
+{
+    std::vector<NDArray> arrays;
+    for (const Buffer& param : func->params) {
+        std::vector<int64_t> shape;
+        for (size_t d = 0; d < param->ndim(); ++d) {
+            shape.push_back(param->shapeInt(d));
+        }
+        NDArray array(param->dtype, shape);
+        if (param->dtype.isInt()) {
+            array.fillRandom(rng, -4, 4);
+        } else {
+            array.fillRandom(rng);
+        }
+        arrays.push_back(std::move(array));
+    }
+    return arrays;
+}
+
 void
 validateArguments(const PrimFunc& func, const std::vector<NDArray*>& args)
 {

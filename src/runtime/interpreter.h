@@ -169,6 +169,12 @@ class Interpreter final : public ExecContext
     std::shared_ptr<const IntrinsicRegistry> registry_;
 };
 
+/** One array per parameter of `func`, filled from `rng` in parameter
+ *  order: integers in [-4, 4), floats in [-1, 1). The seeded inputs of
+ *  the search's numeric oracle and of the measurement worker; each
+ *  caller derives its own stream. */
+std::vector<NDArray> seededArguments(const PrimFunc& func, Rng& rng);
+
 /** Check `args` against `func`'s parameter buffers: count, and shape
  *  dimension by dimension (a 2x6 array must not bind to a 3x4 param).
  *  Shared by the tree-walker and the VM entry point. */
@@ -177,7 +183,7 @@ void validateArguments(const PrimFunc& func,
 
 /** RAII override of the default step limit (restores the previous
  *  default on destruction). The tuner installs one for the duration of
- *  autoTune from TuneOptions::eval_step_limit. Per-thread, like the
+ *  evolutionarySearch from TuneOptions::eval_step_limit. Per-thread, like the
  *  engine override (runtime/jit.h): concurrent tuning sessions budget
  *  their fuel independently. */
 class ScopedStepLimit

@@ -371,8 +371,8 @@ TEST(DatabaseTest, FlippedDecisionDigitIsDroppedAndCounted)
         record.decisions = {tile};
         db.commit(record);
     }
-    const std::string path =
-        ::testing::TempDir() + "/tensorir_db_flip_test.txt";
+    testutil::ScopedTempDir dir;
+    const std::string path = dir.file("db_flip_test.txt");
     db.save(path);
     std::string text = readFile(path);
     const size_t at = text.find("tile 32 2 4 0 8 4");
@@ -387,7 +387,6 @@ TEST(DatabaseTest, FlippedDecisionDigitIsDroppedAndCounted)
     EXPECT_FALSE(loaded.lookup(6).has_value());
     EXPECT_TRUE(loaded.lookup(5).has_value());
     EXPECT_TRUE(loaded.lookup(7).has_value());
-    std::remove(path.c_str());
 }
 
 TEST(DatabaseTest, CorruptingSaveFailpointCostsOnlyDamagedRecords)
@@ -402,8 +401,8 @@ TEST(DatabaseTest, CorruptingSaveFailpointCostsOnlyDamagedRecords)
         record.latency_us = static_cast<double>(hash);
         db.commit(record);
     }
-    const std::string path =
-        ::testing::TempDir() + "/tensorir_db_corrupt_save_test.txt";
+    testutil::ScopedTempDir dir;
+    const std::string path = dir.file("db_corrupt_save_test.txt");
     {
         failpoint::ScopedFailpoints corrupt("seed=4; db.save=corrupt(1,3)");
         db.save(path);
@@ -420,15 +419,14 @@ TEST(DatabaseTest, CorruptingSaveFailpointCostsOnlyDamagedRecords)
             EXPECT_EQ(got->workload_name, "wl");
         }
     }
-    std::remove(path.c_str());
 }
 
 TEST(DatabaseTest, LoadSkipsAndCountsCorruptRecords)
 {
     // load() is always tolerant: a database file that crossed a crash
     // keeps its intact records.
-    std::string path =
-        ::testing::TempDir() + "/tensorir_db_torn_test.txt";
+    testutil::ScopedTempDir dir;
+    std::string path = dir.file("db_torn_test.txt");
     std::string torn = recordFrame(6, 6.0, "loop", "torn", "tile 64\n");
     writeFile(path, recordFrame(5, 5.0, "tensor", "kept") +
                         torn.substr(0, torn.find("tile 64") + 7));
@@ -438,7 +436,6 @@ TEST(DatabaseTest, LoadSkipsAndCountsCorruptRecords)
     EXPECT_EQ(report.dropped, 1);
     EXPECT_EQ(loaded.size(), 1u);
     EXPECT_TRUE(loaded.lookup(5).has_value());
-    std::remove(path.c_str());
 }
 
 TEST(DatabaseTest, SaveAndLoadFile)
@@ -448,13 +445,13 @@ TEST(DatabaseTest, SaveAndLoadFile)
     record.workload_hash = 99;
     record.latency_us = 7;
     db.commit(record);
-    std::string path = ::testing::TempDir() + "/tensorir_db_test.txt";
+    testutil::ScopedTempDir dir;
+    std::string path = dir.file("db_test.txt");
     db.save(path);
     EXPECT_EQ(readFile(path), db.serialize());
     meta::TuningDatabase loaded;
     loaded.load(path);
     EXPECT_EQ(loaded.size(), 1u);
-    std::remove(path.c_str());
 }
 
 TEST(DatabaseTest, SaveReportsWriteFailures)
@@ -472,8 +469,8 @@ TEST(DatabaseTest, SaveReportsWriteFailures)
     record.workload_name = "doomed";
     record.latency_us = 1.0;
     db.commit(record);
-    const std::string path =
-        ::testing::TempDir() + "/tensorir_db_full_test.txt";
+    testutil::ScopedTempDir dir;
+    const std::string path = dir.file("db_full_test.txt");
     writeFile(path, "previous\n");
 
     struct rlimit saved_limit;
@@ -486,7 +483,6 @@ TEST(DatabaseTest, SaveReportsWriteFailures)
     ::setrlimit(RLIMIT_FSIZE, &saved_limit);
     std::signal(SIGXFSZ, saved_handler);
     EXPECT_EQ(readFile(path), "previous\n");
-    std::remove(path.c_str());
 
     // The open check still catches bad paths.
     EXPECT_THROW(db.save("/nonexistent-dir-tensorir/db.txt"),

@@ -19,6 +19,8 @@
 #include "support/frame.h"
 #include "support/rng.h"
 
+#include "test_util.h"
+
 namespace tir {
 namespace {
 
@@ -242,8 +244,8 @@ sameGeneration(const meta::JournalGeneration& a,
 
 TEST(PersistenceFuzzTest, JournalRecoversAPrefixOfWhatWasWritten)
 {
-    const std::string path =
-        ::testing::TempDir() + "/tensorir_journal_fuzz.txt";
+    testutil::ScopedTempDir dir;
+    const std::string path = dir.file("journal_fuzz.txt");
     meta::resetJournal(path);
     std::vector<meta::JournalSection> written;
     {
@@ -319,7 +321,6 @@ TEST(PersistenceFuzzTest, JournalRecoversAPrefixOfWhatWasWritten)
             }
         }
     }
-    std::remove(path.c_str());
 }
 
 } // namespace

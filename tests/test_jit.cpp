@@ -41,11 +41,8 @@ class JitTest : public ::testing::Test
     void
     SetUp() override
     {
-        char tmpl[] = "/tmp/tensorir-jit-test-XXXXXX";
-        char* dir = ::mkdtemp(tmpl);
-        ASSERT_NE(dir, nullptr);
-        cache_dir_ = dir;
-        cache_env_.emplace("TENSORIR_JIT_CACHE", cache_dir_.c_str());
+        cache_env_.emplace("TENSORIR_JIT_CACHE",
+                           cache_dir_.path().c_str());
         engine_env_.emplace("TENSORIR_ENGINE", nullptr);
         runtime::jitResetForTesting();
     }
@@ -56,8 +53,6 @@ class JitTest : public ::testing::Test
         runtime::jitResetForTesting();
         engine_env_.reset();
         cache_env_.reset();
-        std::error_code ec;
-        fs::remove_all(cache_dir_, ec);
     }
 
     /** Run `func` through the tree-walking oracle on diffInputs-style
@@ -66,21 +61,7 @@ class JitTest : public ::testing::Test
     seededArgs(const PrimFunc& func, uint64_t seed = 7)
     {
         Rng rng(seed);
-        std::vector<runtime::NDArray> arrays;
-        for (const Buffer& param : func->params) {
-            std::vector<int64_t> shape;
-            for (size_t d = 0; d < param->ndim(); ++d) {
-                shape.push_back(param->shapeInt(d));
-            }
-            runtime::NDArray array(param->dtype, shape);
-            if (param->dtype.isInt()) {
-                array.fillRandom(rng, -4, 4);
-            } else {
-                array.fillRandom(rng);
-            }
-            arrays.push_back(std::move(array));
-        }
-        return arrays;
+        return runtime::seededArguments(func, rng);
     }
 
     static std::vector<runtime::NDArray*>
@@ -91,7 +72,7 @@ class JitTest : public ::testing::Test
         return out;
     }
 
-    std::string cache_dir_;
+    testutil::ScopedTempDir cache_dir_;
     std::optional<ScopedEnv> cache_env_;
     std::optional<ScopedEnv> engine_env_;
 };

@@ -88,14 +88,29 @@ TEST(LowerTest, ImperfectSplitPredicateBecomesIf)
     EXPECT_TRUE(has_if);
 }
 
+/** Occurrences of `needle` in `text`. */
+size_t
+countOf(const std::string& text, const std::string& needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size())) {
+        ++n;
+    }
+    return n;
+}
+
 TEST(CodegenTest, EmitsCompilableLookingC)
 {
     PrimFunc func = matmul(8, 8, 8);
-    std::string code = codegen::emitC(func);
-    EXPECT_NE(code.find("void matmul(float* restrict A"),
+    codegen::JitSource src = codegen::emitJitC(func);
+    EXPECT_NE(src.code.find("int64_t\ntir_entry(double** tir_bufs, "
+                            "int64_t tir_limit)"),
               std::string::npos);
-    EXPECT_NE(code.find("for (int64_t"), std::string::npos);
-    EXPECT_NE(code.find("tir_floordiv"), std::string::npos);
+    EXPECT_EQ(src.entry_symbol, "tir_entry");
+    EXPECT_EQ(src.num_params, func->params.size());
+    EXPECT_NE(src.code.find("for (int64_t"), std::string::npos);
+    EXPECT_NE(src.code.find("tir_floordiv"), std::string::npos);
 }
 
 TEST(CodegenTest, EmitsMmaHelperForIntrinsics)
@@ -111,9 +126,11 @@ TEST(CodegenTest, EmitsMmaHelperForIntrinsics)
                  j_split[1], k_split[1]});
     sch.decomposeReduction("C", k_split[0]);
     sch.tensorize(sch.blockize(i_split[1]), "accel_dot_4x4x4");
-    std::string code = codegen::emitC(sch.func());
-    EXPECT_NE(code.find("tir_mma_4x4x4_float_float"),
-              std::string::npos);
+    std::string code = codegen::emitJitC(sch.func()).code;
+    // One helper definition per intrinsic tile, however many call
+    // sites the tiled loop nest has.
+    EXPECT_EQ(countOf(code, "static void tir_mma_4x4x4("), 1u);
+    EXPECT_GE(countOf(code, "tir_mma_4x4x4("), 2u);
 }
 
 TEST(CodegenTest, RejectsGpuFunctions)
@@ -122,7 +139,7 @@ TEST(CodegenTest, RejectsGpuFunctions)
     Schedule sch(func);
     std::vector<Var> loops = sch.getLoops("C");
     sch.bind(loops[0], "threadIdx.x");
-    EXPECT_THROW(codegen::emitC(sch.func()), FatalError);
+    EXPECT_THROW(codegen::emitJitC(sch.func()), FatalError);
 }
 
 TEST(CodegenTest, CompiledProgramMatchesInterpreter)
@@ -142,9 +159,9 @@ TEST(CodegenTest, CompiledProgramMatchesInterpreter)
     sch.tensorize(sch.blockize(i_split[1]), "accel_dot_4x4x4");
 
     std::string code = codegen::emitStandaloneC(sch.func(), 1);
-    std::string dir = ::testing::TempDir();
-    std::string src = dir + "/tensorir_codegen_test.c";
-    std::string bin = dir + "/tensorir_codegen_test.bin";
+    testutil::ScopedTempDir dir;
+    std::string src = dir.file("codegen_test.c");
+    std::string bin = dir.file("codegen_test.bin");
     {
         std::ofstream out(src);
         out << code;

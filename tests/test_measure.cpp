@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <optional>
 
@@ -179,24 +178,15 @@ class JitMeasurerTest : public ::testing::Test
     void
     SetUp() override
     {
-        char tmpl[] = "/tmp/tensorir-measure-test-XXXXXX";
-        char* dir = ::mkdtemp(tmpl);
-        ASSERT_NE(dir, nullptr);
-        cache_dir_ = dir;
-        cache_env_.emplace("TENSORIR_JIT_CACHE", cache_dir_.c_str());
+        cache_env_.emplace("TENSORIR_JIT_CACHE",
+                           cache_dir_.path().c_str());
         engine_env_.emplace("TENSORIR_ENGINE", nullptr);
         runtime::jitResetForTesting();
     }
 
-    void
-    TearDown() override
-    {
-        runtime::jitResetForTesting();
-        std::error_code ec;
-        std::filesystem::remove_all(cache_dir_, ec);
-    }
+    void TearDown() override { runtime::jitResetForTesting(); }
 
-    std::string cache_dir_;
+    testutil::ScopedTempDir cache_dir_;
     std::optional<ScopedEnv> cache_env_;
     std::optional<ScopedEnv> engine_env_;
 };
@@ -363,8 +353,8 @@ TEST(MeasureResumeTest, JitBackendCompleteJournalReplaysByteIdentical)
     hwsim::CpuDevice cpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/false);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_measure_resume_journal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("measure_resume_journal.txt");
     meta::resetJournal(journal);
     failpoint::ScopedFailpoints quiet("");
 
@@ -400,8 +390,8 @@ TEST(MeasureResumeTest, JitBackendResumesAfterCrashMidCheckpoint)
     hwsim::CpuDevice cpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/false);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_measure_crash_journal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("measure_crash_journal.txt");
     meta::resetJournal(journal);
     failpoint::ScopedFailpoints quiet("");
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "meta/search.h"
+#include "meta/sketch.h"
 #include "runtime/interpreter.h"
 #include "workloads/workloads.h"
 
@@ -209,6 +210,34 @@ TEST(SearchTest, TuningCostAccumulates)
         meta::autoTune(task, gpu, options, meta::TunerStyle::kTensorIR);
     EXPECT_GE(result.tuning_cost_us,
               result.trials_measured * options.measure_overhead_us);
+}
+
+TEST(SearchTest, BareSearchAppliesEvalStepLimit)
+{
+    // evolutionarySearch installs TuneOptions::eval_step_limit itself
+    // (journalIdentity records it), so a bare search's numeric checks
+    // and runner requests run under the configured fuel, not the
+    // ambient default.
+    workloads::OpSpec op = workloads::gmm(64, 64, 64);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier sketch =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    meta::TuneOptions options;
+    options.population = 4;
+    options.generations = 1;
+    options.children_per_generation = 4;
+    options.measured_per_generation = 2;
+    options.parallelism = 1;
+    options.eval_step_limit = 123456789;
+    const uint64_t ambient = runtime::Interpreter::defaultStepLimit();
+    std::vector<uint64_t> seen;
+    options.progress = [&seen](const meta::TuneProgress&) {
+        seen.push_back(runtime::Interpreter::defaultStepLimit());
+    };
+    meta::evolutionarySearch(op.func, sketch, gpu, options);
+    ASSERT_FALSE(seen.empty());
+    for (uint64_t limit : seen) EXPECT_EQ(limit, options.eval_step_limit);
+    EXPECT_EQ(runtime::Interpreter::defaultStepLimit(), ambient);
 }
 
 TEST(SearchTest, AmosStyleIsNeverFasterThanFullSystem)

@@ -28,6 +28,8 @@
 #include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
+#include "test_util.h"
+
 namespace tir {
 namespace {
 
@@ -411,8 +413,8 @@ TEST(ParallelSearchTest, JournalResumeIsByteIdenticalAfterCrash)
     hwsim::GpuDevice gpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/true);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_resume_journal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("resume_journal.txt");
     meta::resetJournal(journal);
 
     meta::TuneOptions options = searchOptions(2);
@@ -469,8 +471,8 @@ TEST(ParallelSearchTest, JournalResumeReplaysIntactPrefixOfCorruptedJournal)
     hwsim::GpuDevice gpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/true);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_corrupt_journal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("corrupt_journal.txt");
     meta::resetJournal(journal);
     meta::TuneOptions options = searchOptions(2);
     options.journal_path = journal;
@@ -510,7 +512,6 @@ TEST(ParallelSearchTest, JournalResumeReplaysIntactPrefixOfCorruptedJournal)
               funcToString(resumed.best_func));
     // The resume rewrote the damaged tail: the journal is whole again.
     EXPECT_EQ(meta::readJournal(journal).records_dropped, 0);
-    std::remove(journal.c_str());
 }
 
 TEST(ParallelSearchTest, JournalIdentityCoversCandidateFilters)
@@ -521,8 +522,8 @@ TEST(ParallelSearchTest, JournalIdentityCoversCandidateFilters)
     hwsim::GpuDevice gpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/true);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_identity_journal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("identity_journal.txt");
     meta::resetJournal(journal);
     meta::TuneOptions options = searchOptions(2);
     options.generations = 1;
@@ -541,7 +542,6 @@ TEST(ParallelSearchTest, JournalIdentityCoversCandidateFilters)
     EXPECT_EQ(meta::evolutionarySearch(op.func, sketch, gpu, flipped)
                   .generations_replayed,
               0);
-    std::remove(journal.c_str());
 }
 
 TEST(ParallelSearchTest, JournalKeepsMemoEntriesMeasuredInLaterGenerations)
@@ -556,8 +556,8 @@ TEST(ParallelSearchTest, JournalKeepsMemoEntriesMeasuredInLaterGenerations)
     hwsim::GpuDevice gpu;
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/true);
-    const std::string journal =
-        ::testing::TempDir() + "tensorir_memo_rejournal.txt";
+    testutil::ScopedTempDir dir;
+    const std::string journal = dir.file("memo_rejournal.txt");
     meta::resetJournal(journal);
     meta::TuneOptions options = searchOptions(2);
     options.journal_path = journal;

@@ -126,8 +126,8 @@ TEST(ServeDatabaseTest, ConcurrentCommitLookupSnapshotSave)
     // return an intact committed record, and every saved snapshot must
     // parse back cleanly (atomic publish: no torn file).
     meta::TuningDatabase db(4);
-    const std::string path =
-        ::testing::TempDir() + "/tensorir_serve_snap_test.db";
+    testutil::ScopedTempDir dir;
+    const std::string path = dir.file("serve_snap_test.db");
     std::atomic<bool> stop{false};
     std::atomic<int> bad_reads{0};
 
@@ -176,7 +176,6 @@ TEST(ServeDatabaseTest, ConcurrentCommitLookupSnapshotSave)
     meta::LoadReport report = loaded.load(path);
     EXPECT_EQ(report.dropped, 0) << "a saved file must never be torn";
     EXPECT_GT(loaded.size(), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(HotCacheTest, GetPutAndSameKeyReplacement)
@@ -401,10 +400,8 @@ TEST(ScheduleServerTest, DistinctWorkloadsTuneIndependently)
 
 TEST(ScheduleServerTest, ShutdownSnapshotsAndWarmStartRestores)
 {
-    const std::string prefix =
-        ::testing::TempDir() + "/tensorir_serve_warm_test";
-    const std::string path = prefix + ".gpu.db";
-    std::remove(path.c_str());
+    testutil::ScopedTempDir dir;
+    const std::string prefix = dir.file("serve_warm_test");
 
     workloads::OpSpec op = workloads::gmm(64, 64, 64);
     meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
@@ -434,7 +431,6 @@ TEST(ScheduleServerTest, ShutdownSnapshotsAndWarmStartRestores)
         EXPECT_EQ(server.stats().tunes_started, 0u);
         server.shutdown();
     }
-    std::remove(path.c_str());
 }
 
 TEST(ScheduleServerTest, QueryAfterShutdownFailsLoudly)

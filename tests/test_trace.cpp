@@ -15,6 +15,8 @@
 #include "support/trace.h"
 #include "workloads/workloads.h"
 
+#include "test_util.h"
+
 namespace tir {
 namespace {
 
@@ -87,8 +89,8 @@ TEST(TraceTest, AccumSpanAccumulatesWithoutSession)
 
 TEST(TraceTest, SessionWritesChromeTraceJson)
 {
-    std::string path = ::testing::TempDir() + "/tensorir_trace.json";
-    std::remove(path.c_str());
+    testutil::ScopedTempDir dir;
+    std::string path = dir.file("trace.json");
     meta::TuneOptions options = demoOptions();
     options.trace_path = path;
     meta::TuneResult result = tuneOnce(options);
@@ -117,7 +119,6 @@ TEST(TraceTest, SessionWritesChromeTraceJson)
               std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, TracingIsObservationalOnly)
@@ -126,13 +127,10 @@ TEST(TraceTest, TracingIsObservationalOnly)
     // same seed changes nothing about the tuning outcome.
     meta::TuneResult plain = tuneOnce(demoOptions());
 
-    std::string path =
-        ::testing::TempDir() + "/tensorir_trace_determinism.json";
-    std::remove(path.c_str());
+    testutil::ScopedTempDir dir;
     meta::TuneOptions traced_options = demoOptions();
-    traced_options.trace_path = path;
+    traced_options.trace_path = dir.file("trace_determinism.json");
     meta::TuneResult traced = tuneOnce(traced_options);
-    std::remove(path.c_str());
 
     EXPECT_EQ(plain.best_latency_us, traced.best_latency_us);
     EXPECT_EQ(plain.best_sketch, traced.best_sketch);
@@ -152,12 +150,9 @@ TEST(TraceTest, TracingIsObservationalOnly)
 
 TEST(TraceTest, NestedSessionsComposeOutermostWins)
 {
-    std::string outer_path =
-        ::testing::TempDir() + "/tensorir_trace_outer.json";
-    std::string inner_path =
-        ::testing::TempDir() + "/tensorir_trace_inner.json";
-    std::remove(outer_path.c_str());
-    std::remove(inner_path.c_str());
+    testutil::ScopedTempDir dir;
+    std::string outer_path = dir.file("trace_outer.json");
+    std::string inner_path = dir.file("trace_inner.json");
     {
         trace::SessionGuard outer(outer_path);
         ASSERT_TRUE(outer.owns());
@@ -178,14 +173,12 @@ TEST(TraceTest, NestedSessionsComposeOutermostWins)
     // The inner path was never written.
     std::ifstream inner_file(inner_path);
     EXPECT_FALSE(inner_file.good());
-    std::remove(outer_path.c_str());
 }
 
 TEST(TraceTest, CountersAggregateAcrossThreadsInSummary)
 {
-    std::string path =
-        ::testing::TempDir() + "/tensorir_trace_counters.json";
-    std::remove(path.c_str());
+    testutil::ScopedTempDir dir;
+    std::string path = dir.file("trace_counters.json");
     {
         trace::SessionGuard session(path);
         ASSERT_TRUE(session.owns());
@@ -199,7 +192,6 @@ TEST(TraceTest, CountersAggregateAcrossThreadsInSummary)
         // Gauges report the latest sample.
         EXPECT_NE(summary.find("2.5"), std::string::npos);
     }
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Shared test helpers: build common workloads, check that a transformed
  * function computes the same values as the original, and scope an
- * environment variable.
+ * environment variable or a temporary directory.
  */
 #ifndef TENSORIR_TESTS_TEST_UTIL_H
 #define TENSORIR_TESTS_TEST_UTIL_H
@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/vm.h"
 #include "te/te.h"
@@ -47,6 +50,45 @@ class ScopedEnv
   private:
     std::string name_;
     std::optional<std::string> saved_;
+};
+
+/** A fresh directory under ::testing::TempDir() (mkdtemp), removed
+ *  with everything in it on scope exit, so a test run leaves nothing
+ *  behind in the temp directory. */
+class ScopedTempDir
+{
+  public:
+    ScopedTempDir()
+    {
+        // TempDir() is TEST_TMPDIR verbatim when that is set (no
+        // trailing slash), "/tmp/" otherwise.
+        std::string tmpl = ::testing::TempDir();
+        if (tmpl.empty() || tmpl.back() != '/') tmpl += '/';
+        tmpl += "tensorir-test-XXXXXX";
+        std::vector<char> buf(tmpl.begin(), tmpl.end());
+        buf.push_back('\0');
+        if (!::mkdtemp(buf.data())) {
+            throw std::runtime_error("mkdtemp failed for " + tmpl);
+        }
+        path_ = buf.data();
+    }
+    ~ScopedTempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    ScopedTempDir(const ScopedTempDir&) = delete;
+    ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+    const std::string& path() const { return path_; }
+    /** Path of `name` inside the directory. */
+    std::string file(const std::string& name) const
+    {
+        return path_ + "/" + name;
+    }
+
+  private:
+    std::string path_;
 };
 
 /** Build a plain matmul C[n,m] = A[n,k] * B[k,m]. */
@@ -100,22 +142,9 @@ expectSameResults(const PrimFunc& candidate, const PrimFunc& reference,
 {
     ASSERT_EQ(candidate->params.size(), reference->params.size());
     Rng rng(seed);
-    std::vector<runtime::NDArray> cand_args;
-    std::vector<runtime::NDArray> ref_args;
-    for (const Buffer& param : reference->params) {
-        std::vector<int64_t> shape;
-        for (size_t d = 0; d < param->ndim(); ++d) {
-            shape.push_back(param->shapeInt(d));
-        }
-        runtime::NDArray array(param->dtype, shape);
-        if (param->dtype.isInt()) {
-            array.fillRandom(rng, -4, 4);
-        } else {
-            array.fillRandom(rng);
-        }
-        cand_args.push_back(array);
-        ref_args.push_back(std::move(array));
-    }
+    std::vector<runtime::NDArray> ref_args =
+        runtime::seededArguments(reference, rng);
+    std::vector<runtime::NDArray> cand_args = ref_args;
     std::vector<runtime::NDArray*> cand_ptrs;
     std::vector<runtime::NDArray*> ref_ptrs;
     for (auto& a : cand_args) cand_ptrs.push_back(&a);

@@ -32,21 +32,7 @@ std::vector<NDArray>
 makeInputs(const PrimFunc& func, uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<NDArray> arrays;
-    for (const Buffer& param : func->params) {
-        std::vector<int64_t> shape;
-        for (size_t d = 0; d < param->ndim(); ++d) {
-            shape.push_back(param->shapeInt(d));
-        }
-        NDArray array(param->dtype, shape);
-        if (param->dtype.isInt()) {
-            array.fillRandom(rng, -4, 4);
-        } else {
-            array.fillRandom(rng);
-        }
-        arrays.push_back(std::move(array));
-    }
-    return arrays;
+    return runtime::seededArguments(func, rng);
 }
 
 std::vector<NDArray*>

@@ -387,10 +387,12 @@ TEST(SoftmaxTest, SchedulableAndLowerable)
 TEST(SoftmaxTest, CodegenCompilesConceptually)
 {
     workloads::OpSpec op = workloads::softmax(4, 8);
-    std::string code = codegen::emitC(op.func);
-    EXPECT_NE(code.find("expf"), std::string::npos);
-    EXPECT_NE(code.find(" / "), std::string::npos);
-    EXPECT_NE(code.find("fmaxf"), std::string::npos);
+    std::string code = codegen::emitJitC(op.func).code;
+    // The kernel body, past the preamble that always defines tir_fmax.
+    std::string body = code.substr(code.find("tir_entry("));
+    EXPECT_NE(body.find("exp("), std::string::npos);
+    EXPECT_NE(body.find(" / "), std::string::npos);
+    EXPECT_NE(body.find("tir_fmax("), std::string::npos);
 }
 
 } // namespace
