@@ -8,7 +8,10 @@
  */
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "codegen/c_codegen.h"
 #include "lower/lower.h"
@@ -17,6 +20,39 @@
 #include "workloads/workloads.h"
 
 using namespace tir;
+
+namespace {
+
+/** A fresh directory under $TMPDIR (or /tmp), removed with everything
+ *  in it on scope exit, so concurrent runs never share a file. */
+class TempDir
+{
+  public:
+    TempDir()
+    {
+        const char* base = std::getenv("TMPDIR");
+        std::string tmpl = std::string(base && *base ? base : "/tmp") +
+                           "/tensorir-c-kernel-XXXXXX";
+        std::vector<char> buf(tmpl.begin(), tmpl.end());
+        buf.push_back('\0');
+        if (::mkdtemp(buf.data())) path_ = buf.data();
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+    }
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+
+    /** Empty when the directory could not be made. */
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+} // namespace
 
 int
 main()
@@ -39,21 +75,26 @@ main()
                 isBlockFree(lowered->body) ? "yes" : "no");
 
     std::string code = codegen::emitStandaloneC(tuned.best_func, 1);
-    std::string src = "/tmp/tensorir_generated_gmm.c";
-    std::string bin = "/tmp/tensorir_generated_gmm";
+    TempDir dir;
+    if (dir.path().empty()) {
+        std::printf("could not create a temporary directory\n");
+        return 1;
+    }
+    std::string src = dir.path() + "/generated_gmm.c";
+    std::string bin = dir.path() + "/generated_gmm";
     {
         std::ofstream out(src);
         out << code;
     }
-    std::printf("emitted %zu bytes of C to %s\n", code.size(),
-                src.c_str());
+    std::printf("emitted %zu bytes of C\n", code.size());
 
-    std::string compile = "cc -O2 -o " + bin + " " + src + " -lm";
+    std::string compile =
+        "cc -O2 -o '" + bin + "' '" + src + "' -lm";
     if (std::system(compile.c_str()) != 0) {
         std::printf("compilation failed\n");
         return 1;
     }
-    FILE* pipe = popen(bin.c_str(), "r");
+    FILE* pipe = popen(("'" + bin + "'").c_str(), "r");
     double compiled_sum = 0;
     if (!pipe || fscanf(pipe, "%lf", &compiled_sum) != 1) {
         std::printf("running the generated binary failed\n");

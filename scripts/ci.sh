@@ -25,9 +25,15 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 # The plain pass points gtest's TEST_TMPDIR at a fresh directory: tests
 # write files only under ::testing::TempDir() (ScopedTempDir in
-# tests/test_util.h) and must leave nothing there.
+# tests/test_util.h) and must leave nothing there. Native code compiles
+# into a private cache there too (tests/test_environment.cpp), so the
+# user's default JIT cache (runtime::jitCacheDir()) must gain nothing.
+JIT_DEFAULT_CACHE="/tmp/tensorir-jit-cache-$(id -u)"
+jit_cache_entries() { { ls -A "$JIT_DEFAULT_CACHE" 2>/dev/null || true; } | sort; }
+JIT_BEFORE="$(jit_cache_entries)"
 TEST_TMP="$(mktemp -d)"
-TEST_TMPDIR="$TEST_TMP" ctest --test-dir "$BUILD_DIR" --output-on-failure
+env -u TENSORIR_JIT_CACHE TEST_TMPDIR="$TEST_TMP" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure
 if [[ -n "$(ls -A "$TEST_TMP")" ]]; then
     echo "ci: tests left files in their temp directory:" >&2
     ls -lA "$TEST_TMP" >&2
@@ -35,8 +41,27 @@ if [[ -n "$(ls -A "$TEST_TMP")" ]]; then
     exit 1
 fi
 rmdir "$TEST_TMP"
+JIT_GAINED="$(comm -13 <(echo "$JIT_BEFORE") <(jit_cache_entries) | sed '/^$/d')"
+if [[ -n "$JIT_GAINED" ]]; then
+    echo "ci: tests wrote into the default JIT cache $JIT_DEFAULT_CACHE:" >&2
+    echo "$JIT_GAINED" >&2
+    exit 1
+fi
 
-echo "ci: build (-Wall -Wextra -Werror) and tests passed (temp directory left clean)"
+echo "ci: build (-Wall -Wextra -Werror) and tests passed (temp directory and default JIT cache left clean)"
+
+# The C kernel example writes its generated program and binary under
+# $TMPDIR; run it under a fresh one and require it left nothing there.
+EXAMPLE_TMP="$(mktemp -d)"
+TMPDIR="$EXAMPLE_TMP" "$BUILD_DIR/examples/example_generate_c_kernel"
+if [[ -n "$(ls -A "$EXAMPLE_TMP")" ]]; then
+    echo "ci: example_generate_c_kernel left files in TMPDIR:" >&2
+    ls -lA "$EXAMPLE_TMP" >&2
+    rm -rf "$EXAMPLE_TMP"
+    exit 1
+fi
+rmdir "$EXAMPLE_TMP"
+echo "ci: C kernel example passed (TMPDIR left clean)"
 
 # Lint gate: run the tensorir-lint CLI (tools/tensorir_lint.cpp) over
 # the small-shape seed suite. The binary exits nonzero iff any

@@ -122,15 +122,65 @@ operator<<(std::ostream& os, const TuneCounters& counters)
 
 namespace {
 
+/** What instantiating one completed decision trace produced: a valid
+ *  program, or the reject verdict of thread-binding verification,
+ *  static analysis or lint. A pure function of the trace. */
+struct TraceOutcome
+{
+    bool valid = false;
+    RejectKind reject = RejectKind::kInvalid;
+    PrimFunc func;
+    uint64_t hash = 0;
+};
+
+/** Hash of a decision trace over every Decision field. */
+struct TraceHash
+{
+    size_t
+    operator()(const std::vector<Decision>& trace) const
+    {
+        uint64_t h = trace.size();
+        auto mix = [&h](int64_t v) {
+            h = Rng::mixSeed(h, static_cast<uint64_t>(v));
+        };
+        for (const Decision& d : trace) {
+            mix(static_cast<int64_t>(d.kind));
+            mix(d.extent);
+            mix(d.number);
+            mix(d.max_innermost);
+            mix(d.num_candidates);
+            mix(static_cast<int64_t>(d.values.size()));
+            for (int64_t v : d.values) mix(v);
+        }
+        return static_cast<size_t>(h);
+    }
+};
+
+/**
+ * The outcome of every decision trace one search has completed. A
+ * child whose overrides equal a completed trace replays exactly that
+ * trace: every override matches its sampling site, so the child's RNG
+ * is never drawn from and its seed cannot change the program. Such a
+ * child takes the recorded outcome instead of being instantiated.
+ */
+using TraceOutcomes =
+    std::unordered_map<std::vector<Decision>, TraceOutcome, TraceHash>;
+
 /** One candidate flowing through the per-generation pipeline. */
 struct Candidate
 {
     // Inputs, filled on the main thread from the candidate's derived RNG.
     uint64_t schedule_seed = 0;
     std::vector<Decision> overrides;
+    /** Set on the main thread before instantiation when `overrides` is
+     *  a completed trace: the candidate takes that outcome. */
+    const TraceOutcome* reuse = nullptr;
     // Instantiation outputs, filled by pool workers.
     bool valid = false;
     RejectKind reject = RejectKind::kInvalid;
+    /** The sketch completed and the verdict depends on `decisions`
+     *  alone, so it may be recorded in the TraceOutcomes. */
+    bool traced = false;
     std::vector<Decision> decisions;
     PrimFunc func;
     uint64_t hash = 0;
@@ -174,17 +224,16 @@ markRejected(Candidate& cand, trace::Span& span, RejectKind kind)
 }
 
 /**
- * Instantiate a sketch with decision overrides. Pure function of the
- * candidate (the workload IR is immutable and the sketch applier
- * captures only read-only state), so it runs on any pool thread.
+ * Instantiate a sketch with decision overrides, or take the outcome of
+ * the completed trace `cand.reuse` points to. Pure function of the
+ * candidate (the workload IR is immutable and the sketch applier is
+ * safe to share between threads), so it runs on any pool thread.
  */
 void
 instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
                      bool lint_filter, Candidate& cand)
 {
     trace::Span span("candidate.instantiate");
-    Schedule sch(workload, cand.schedule_seed);
-    sch.setDecisionOverrides(std::move(cand.overrides));
     // Search-generated programs are adversarial by construction, and
     // this runs under a pool worker: *any* escaping exception would
     // reach the batch drain and abort the whole search, so the entire
@@ -195,12 +244,27 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
     try {
         // Keyed by the candidate's own schedule seed, so a chaos
         // schedule fails the *same candidates* at every parallelism
-        // setting (the determinism contract survives injection).
+        // setting (the determinism contract survives injection). A
+        // reused candidate consults it too: its accounting must not
+        // depend on whether an earlier candidate completed its trace.
         if (failpoint::inject("search.instantiate", cand.schedule_seed)) {
             markRejected(cand, span, RejectKind::kRuntime);
             return;
         }
+        if (cand.reuse) {
+            span.addArg(trace::arg("reused", int64_t{1}));
+            cand.decisions = std::move(cand.overrides);
+            cand.func = cand.reuse->func;
+            cand.hash = cand.reuse->hash;
+            cand.valid = cand.reuse->valid;
+            if (!cand.valid) markRejected(cand, span, cand.reuse->reject);
+            return;
+        }
+        Schedule sch(workload, cand.schedule_seed);
+        sch.setDecisionOverrides(std::move(cand.overrides));
         sketch(sch);
+        cand.decisions = sch.decisions();
+        cand.traced = true;
         // Threading validation (§3.3) filters false positives before
         // they reach a measurement.
         VerifyResult threads = verifyThreadBindings(sch.func());
@@ -223,10 +287,10 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
         {
             // Per-candidate analysis latency gets its own span: the
             // filter runs on every candidate, so this is where an
-            // analysis slowdown would hide. Duplicate decision traces
-            // produce structurally identical functions, so the report
-            // comes from the structural-hash cache after the first
-            // sighting (hit/miss visible as analysis.cache_* counters).
+            // analysis slowdown would hide. Structurally identical
+            // functions from different traces get the report from the
+            // structural-hash cache after the first sighting (hit/miss
+            // visible as analysis.cache_* counters).
             trace::Span analysis_span("candidate.analysis");
             report = analysis::analyzeFuncCached(sch.func(),
                                                  analysis_opts);
@@ -258,13 +322,14 @@ instantiateCandidate(const PrimFunc& workload, const SketchApplier& sketch,
                 return;
             }
         }
-        cand.decisions = sch.decisions();
         cand.func = sch.func();
         cand.hash = structuralHash(cand.func);
         cand.valid = true;
     } catch (const FatalError&) {
+        cand.traced = false;
         markRejected(cand, span, RejectKind::kInvalid);
     } catch (const std::exception&) {
+        cand.traced = false;
         markRejected(cand, span, RejectKind::kRuntime);
     }
 }
@@ -431,6 +496,7 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     std::vector<FeatureVec> train_x;
     std::vector<double> train_y;
     MemoCache memo;
+    TraceOutcomes traces;
     std::vector<JournalIndividual> population;
     result.timings.watchdog_timeout_s = options.stage_timeout_s;
 
@@ -452,26 +518,44 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     };
 
     // Pipeline step shared by the initial population and every
-    // generation: instantiate all candidates concurrently, then
-    // stats/feature-extract and device-estimate the structurally-new
-    // ones concurrently, folding into the memo in index order.
+    // generation: instantiate all candidates concurrently (a candidate
+    // whose overrides are a completed trace takes its recorded outcome
+    // instead), then stats/feature-extract and device-estimate the
+    // structurally-new ones concurrently, folding into the memo in
+    // index order.
     auto processBatch = [&](std::vector<Candidate>& batch) {
         {
             trace::AccumSpan stage("search.instantiate_batch",
                                    result.timings.generate_s);
-            StageWatchdog watchdog(options.stage_timeout_s,
-                                   result.timings.watchdog_overruns);
-            forEach(batch.size(), [&](size_t i) {
-                // Cooperative expiry: candidates not yet picked up when
-                // the stage budget runs out are rejected as timeouts
-                // instead of being worked on indefinitely.
-                if (watchdog.expired()) {
-                    batch[i].reject = RejectKind::kTimeout;
-                    return;
-                }
-                instantiateCandidate(workload, sketch,
-                                     options.lint_filter, batch[i]);
-            });
+            for (Candidate& c : batch) {
+                auto it = traces.find(c.overrides);
+                if (it == traces.end()) continue;
+                c.reuse = &it->second;
+                trace::counterAdd("search.trace_reuses", 1);
+            }
+            {
+                StageWatchdog watchdog(options.stage_timeout_s,
+                                       result.timings.watchdog_overruns);
+                forEach(batch.size(), [&](size_t i) {
+                    // Cooperative expiry: candidates not yet picked up
+                    // when the stage budget runs out are rejected as
+                    // timeouts instead of being worked on indefinitely.
+                    if (watchdog.expired()) {
+                        batch[i].reject = RejectKind::kTimeout;
+                        return;
+                    }
+                    instantiateCandidate(workload, sketch,
+                                         options.lint_filter, batch[i]);
+                });
+            }
+            // Batch order, first one wins: which candidate a later
+            // child reuses never depends on thread placement.
+            for (const Candidate& c : batch) {
+                if (!c.traced) continue;
+                traces.try_emplace(c.decisions,
+                                   TraceOutcome{c.valid, c.reject, c.func,
+                                                c.hash});
+            }
         }
 
         std::vector<size_t> fresh; // batch indices with unseen hashes

@@ -1,5 +1,8 @@
 #include "meta/sketch.h"
 
+#include <memory>
+#include <mutex>
+
 #include "intrin/tensor_intrin.h"
 
 namespace tir {
@@ -67,6 +70,47 @@ isScheduled(const Schedule& sch, const std::string& block)
     return site.loops.empty();
 }
 
+/**
+ * The decision-free prologue of a tensor sketch (applyReindexAndLayout)
+ * run once per input function and shared by every candidate started
+ * from that function. The IR is immutable, so candidates continue from
+ * the same output function. Safe to use from many threads at once.
+ */
+class SharedPrologue
+{
+  public:
+    explicit SharedPrologue(TensorizeCandidate cand) : cand_(std::move(cand))
+    {}
+
+    /** Apply the prologue to `sch`, from the cache when its function
+     *  is the one the cache was filled from. */
+    ReindexBlocks
+    apply(Schedule& sch)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // `input_` is held, so its address cannot be reused: a pointer
+        // match always means the same function.
+        if (sch.func() == input_) {
+            sch.adoptFunc(output_);
+            return rb_;
+        }
+        PrimFunc input = sch.func();
+        rb_ = applyReindexAndLayout(sch, cand_);
+        input_ = std::move(input);
+        output_ = sch.func();
+        return rb_;
+    }
+
+    const TensorizeCandidate& cand() const { return cand_; }
+
+  private:
+    const TensorizeCandidate cand_;
+    std::mutex mutex_;
+    PrimFunc input_;
+    PrimFunc output_;
+    ReindexBlocks rb_;
+};
+
 } // namespace
 
 size_t
@@ -93,12 +137,13 @@ SketchApplier
 makeTensorSketchApplier(const TensorizeCandidate& cand, bool gpu,
                         const SketchOptions& options)
 {
-    return [cand, gpu, options](Schedule& sch) {
-        ReindexBlocks rb = applyReindexAndLayout(sch, cand);
+    auto prologue = std::make_shared<SharedPrologue>(cand);
+    return [prologue, gpu, options](Schedule& sch) {
+        ReindexBlocks rb = prologue->apply(sch);
         if (gpu) {
-            applyGpuTensorSketch(sch, cand, rb, options);
+            applyGpuTensorSketch(sch, prologue->cand(), rb, options);
         } else {
-            applyCpuTensorSketch(sch, cand, rb, options);
+            applyCpuTensorSketch(sch, prologue->cand(), rb, options);
         }
     };
 }

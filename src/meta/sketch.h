@@ -31,10 +31,12 @@ struct SketchOptions
  * invalid sampled decisions (the search filters these out).
  *
  * Thread-safety: appliers returned by the factories below capture only
- * immutable state (candidate descriptors, option structs, block names),
- * so one applier may be invoked concurrently from many threads, each on
- * its own Schedule. This is what lets the parallel tuning pipeline
- * instantiate a whole generation of candidates at once.
+ * immutable state (candidate descriptors, option structs, block names)
+ * plus, for the tensor family, a mutex-guarded cache of the sketch's
+ * decision-free prologue, so one applier may be invoked concurrently
+ * from many threads, each on its own Schedule. This is what lets the
+ * parallel tuning pipeline instantiate a whole generation of candidates
+ * at once.
  */
 using SketchApplier = std::function<void(Schedule&)>;
 
@@ -46,8 +48,14 @@ using SketchApplier = std::function<void(Schedule&)>;
 size_t selectTensorizeCandidate(
     const std::vector<TensorizeCandidate>& candidates);
 
-/** Applier for the tensorized sketch family (ReIndex + layout + tile +
- *  tensorize), targeting the GPU or CPU variant. */
+/**
+ * Applier for the tensorized sketch family, targeting the GPU or CPU
+ * variant. The sketch is a decision-free prologue (ReIndex + layout,
+ * applyReindexAndLayout) plus a sampled body (tile + stage +
+ * tensorize, apply{Gpu,Cpu}TensorSketch). The applier runs the
+ * prologue once per input function and starts every later Schedule
+ * of that function from its output.
+ */
 SketchApplier makeTensorSketchApplier(const TensorizeCandidate& cand,
                                       bool gpu,
                                       const SketchOptions& options);

@@ -527,7 +527,10 @@ class DiagnosticSink
                           "|" + diag.buffer + "|" + diag.axis + "|" +
                           diag.loop_path;
         if (!seen_.insert(key).second) return;
-        if (static_cast<int>(out_->size()) >= opts_.max_diagnostics) {
+        // The cap drops warnings only: errors decide ok(), so a capped
+        // error would let a provable hazard pass the search's filter.
+        if (diag.severity != Severity::kError &&
+            static_cast<int>(out_->size()) >= opts_.max_diagnostics) {
             return;
         }
         out_->push_back(std::move(diag));

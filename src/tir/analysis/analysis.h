@@ -121,7 +121,9 @@ struct AnalysisOptions
     int64_t exhaustive_pair_limit = 4096;
     /** Treat CPU kParallel loops as racing concurrency axes. */
     bool check_parallel_loops = true;
-    /** Cap on reported diagnostics (further findings are dropped). */
+    /** Cap on reported diagnostics: a warning found once this many
+     *  are reported is dropped. Errors are always reported, because
+     *  they decide AnalysisReport::ok(). */
     int max_diagnostics = 32;
 };
 

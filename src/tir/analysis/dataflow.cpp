@@ -284,7 +284,7 @@ classifySyncs(DataflowInfo* info, const AnalysisOptions& options)
 }
 
 /** Minimal local mirror of the analysis.cpp diagnostic sink: dedup on
- *  (kind, severity, buffer, axis, loop_path), capped. */
+ *  (kind, severity, buffer, axis, loop_path), warnings capped. */
 class LintSink
 {
   public:
@@ -300,7 +300,10 @@ class LintSink
             std::to_string(static_cast<int>(diag.severity)) + "|" +
             diag.buffer + "|" + diag.axis + "|" + diag.loop_path;
         if (!seen_.insert(key).second) return;
-        if (static_cast<int>(out_->size()) >= opts_.max_diagnostics) {
+        // The cap drops warnings only: errors decide ok(), so a capped
+        // error would let a provable hazard pass the search's filter.
+        if (diag.severity != Severity::kError &&
+            static_cast<int>(out_->size()) >= opts_.max_diagnostics) {
             return;
         }
         out_->push_back(std::move(diag));

@@ -142,23 +142,59 @@ Schedule::blockNames() const
     return names;
 }
 
+namespace {
+
+/** The loop over `var`, or null. Walks statements only (no expression
+ *  holds a loop) and stops at the first match. */
+const ForNode*
+findLoopIn(const Stmt& stmt, const VarNode* var)
+{
+    switch (stmt->kind) {
+      case StmtKind::kSeq:
+        for (const Stmt& s : static_cast<const SeqStmtNode&>(*stmt).seq) {
+            if (const ForNode* f = findLoopIn(s, var)) return f;
+        }
+        return nullptr;
+      case StmtKind::kFor: {
+        const auto& n = static_cast<const ForNode&>(*stmt);
+        if (n.loop_var.get() == var) return &n;
+        return findLoopIn(n.body, var);
+      }
+      case StmtKind::kIfThenElse: {
+        const auto& n = static_cast<const IfThenElseNode&>(*stmt);
+        if (const ForNode* f = findLoopIn(n.then_case, var)) return f;
+        return n.else_case ? findLoopIn(n.else_case, var) : nullptr;
+      }
+      case StmtKind::kBlock: {
+        const auto& n = static_cast<const BlockNode&>(*stmt);
+        if (n.init) {
+            if (const ForNode* f = findLoopIn(n.init, var)) return f;
+        }
+        return findLoopIn(n.body, var);
+      }
+      case StmtKind::kBlockRealize:
+        return findLoopIn(static_cast<const BlockRealizeNode&>(*stmt).block,
+                          var);
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace
+
 const ForNode*
 Schedule::findLoop(const Var& loop) const
 {
-    const ForNode* found = nullptr;
-    preOrderVisit(func_->body, [&](const StmtNode* node) {
-        if (node->kind == StmtKind::kFor) {
-            const auto* f = static_cast<const ForNode*>(node);
-            if (f->loop_var == loop) found = f;
-        }
-    });
+    const ForNode* found = findLoopIn(func_->body, loop.get());
     TIR_CHECK(found) << "no loop with var '" << loop->name << "'";
     return found;
 }
 
 namespace {
 
-/** Replaces (or erases, when replacement is null) one subtree. */
+/** Replaces (or erases, when replacement is null) one subtree. Walks
+ *  statements only: no expression can hold a statement, so every
+ *  expression is kept as it is. */
 class NodeReplacer : public StmtExprMutator
 {
   public:
@@ -178,7 +214,11 @@ class NodeReplacer : public StmtExprMutator
         return StmtExprMutator::mutateStmt(s);
     }
 
+    Expr mutateExpr(const Expr& e) override { return e; }
+
   protected:
+    Stmt mutateBufferStore(const Stmt& s) override { return s; }
+
     Stmt
     mutateFor(const Stmt& s) override
     {
@@ -188,6 +228,26 @@ class NodeReplacer : public StmtExprMutator
         if (body == n.body) return s;
         return makeFor(n.loop_var, n.min, n.extent, body, n.for_kind,
                        n.thread_tag, n.annotations);
+    }
+
+    BlockPtr
+    mutateBlockNode(const BlockPtr& block) override
+    {
+        const BlockNode& n = *block;
+        Stmt init = n.init ? mutateStmt(n.init) : nullptr;
+        Stmt body = mutateStmt(n.body);
+        if (init == n.init && body == n.body) return block;
+        return makeBlock(n.name, n.iter_vars, n.reads, n.writes, body, init,
+                         n.alloc_buffers, n.annotations);
+    }
+
+    Stmt
+    mutateBlockRealize(const Stmt& s) override
+    {
+        const auto& n = static_cast<const BlockRealizeNode&>(*s);
+        BlockPtr block = mutateBlockNode(n.block);
+        if (block == n.block) return s;
+        return blockRealize(n.iter_values, n.predicate, block);
     }
 
   private:
@@ -212,6 +272,13 @@ void
 Schedule::eraseNode(const StmtNode* target)
 {
     replaceNode(target, nullptr);
+}
+
+void
+Schedule::adoptFunc(PrimFunc func)
+{
+    TIR_CHECK(func) << "null function";
+    func_ = std::move(func);
 }
 
 namespace {

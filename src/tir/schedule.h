@@ -32,6 +32,8 @@ struct Decision
     std::vector<int64_t> values;
     /** kCategorical: number of candidates. */
     int num_candidates = 0;
+
+    bool operator==(const Decision&) const = default;
 };
 
 /**
@@ -47,6 +49,13 @@ class Schedule
 
     /** The current state of the scheduled function. */
     const PrimFunc& func() const { return func_; }
+    /**
+     * Continue from `func`, which decision-free primitives produced
+     * from the current function on another Schedule (a sketch prologue
+     * shared between candidates). The decision trace, the pending
+     * overrides and the RNG stay as they are.
+     */
+    void adoptFunc(PrimFunc func);
 
     // --- Queries -------------------------------------------------------
 

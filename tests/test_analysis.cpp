@@ -119,6 +119,47 @@ TEST(RaceAnalysisTest, BindingSpatialLoopIsClean)
     EXPECT_EQ(sch.analysisDiagnostics(), "");
 }
 
+TEST(RaceAnalysisTest, DiagnosticCapNeverDropsAnError)
+{
+    // Four launches each store W_i[Idx[tx]]: disjointness across
+    // threads is not provable, one warning each. A fifth launch stores
+    // A[0] = tx from every thread, a provable race. The cap once
+    // dropped every finding past max_diagnostics, errors included, so
+    // at the search's cap of 4 (and at 0) the race went unreported and
+    // ok() held.
+    Buffer idx = makeBuffer("Idx", {8}, DataType::i32());
+    Buffer a = makeBuffer("A", {8}, DataType::i32());
+    std::vector<Buffer> params = {idx, a};
+    std::vector<Stmt> launches;
+    for (int i = 0; i < 4; ++i) {
+        Buffer w = makeBuffer("W" + std::to_string(i), {8},
+                              DataType::i32());
+        params.push_back(w);
+        Var tx = var("tx" + std::to_string(i));
+        launches.push_back(
+            launch(tx, 8, bufferStore(w, tx, {bufferLoad(idx, {tx})})));
+    }
+    Var tx = var("tx");
+    launches.push_back(launch(tx, 8, bufferStore(a, tx, {intImm(0)})));
+    PrimFunc func = makeFunc("capped", params, seq(launches));
+
+    for (int cap : {32, 4, 0}) {
+        AnalysisOptions opts;
+        opts.max_diagnostics = cap;
+        AnalysisReport report = analysis::analyzeFunc(func, opts);
+        EXPECT_FALSE(report.ok()) << "cap " << cap;
+        EXPECT_TRUE(report.hasError(DiagKind::kWriteRace))
+            << "cap " << cap << "\n" << report.summary();
+        // Warnings still respect the cap.
+        int warnings = 0;
+        for (const analysis::Diagnostic& d : report.diagnostics) {
+            if (d.severity == analysis::Severity::kWarning) ++warnings;
+        }
+        EXPECT_EQ(warnings, std::min(cap, 4))
+            << "cap " << cap << "\n" << report.summary();
+    }
+}
+
 // --- Shared-memory read-after-write ordering -----------------------------
 
 /** seq { S[tx] = A[tx]; <maybe sync>; B[tx] = S[7 - tx] } under a

@@ -95,6 +95,43 @@ TEST(DataflowLintTest, UseBeforeInitIsError)
         << report.summary();
 }
 
+TEST(DataflowLintTest, DiagnosticCapNeverDropsAnError)
+{
+    // Four dead stores (warnings) beside one unguarded read of storage
+    // nothing writes (an error). The search lints with a cap of 4; the
+    // cap must drop warnings only, or the use-before-init reject is
+    // lost.
+    Buffer a = makeBuffer("A", {8}, DataType::f32());
+    Buffer b = makeBuffer("B", {8}, DataType::f32());
+    Buffer u = makeBuffer("U", {8}, DataType::f32(), "global");
+    Var i = var("i");
+    std::vector<Stmt> body;
+    for (int k = 0; k < 4; ++k) {
+        Buffer t = makeBuffer("T" + std::to_string(k), {8},
+                              DataType::f32(), "global");
+        body.push_back(bufferStore(t, bufferLoad(a, {i}), {i}));
+    }
+    body.push_back(bufferStore(b, bufferLoad(u, {i}), {i}));
+    PrimFunc func =
+        makeFunc("capped_lint", {a, b}, serial(i, 8, seq(body)));
+
+    for (int cap : {32, 4, 0}) {
+        analysis::AnalysisOptions opts;
+        opts.max_diagnostics = cap;
+        AnalysisReport report = analysis::lintFunc(func, opts);
+        EXPECT_TRUE(report.hasError(DiagKind::kUseBeforeInit))
+            << "cap " << cap << "\n" << report.summary();
+        if (cap == 32) {
+            EXPECT_EQ(countDiagnostics(report, DiagKind::kDeadStore), 4)
+                << report.summary();
+        }
+        if (cap == 0) {
+            EXPECT_EQ(countDiagnostics(report, DiagKind::kDeadStore), 0)
+                << report.summary();
+        }
+    }
+}
+
 TEST(DataflowLintTest, GuardedUseBeforeInitIsWarning)
 {
     // The same read under a conditional: it may never execute, so the

@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "ir/structural_equal.h"
+#include "ir/structural_hash.h"
 #include "meta/search.h"
 #include "meta/sketch.h"
 #include "runtime/interpreter.h"
@@ -143,6 +145,142 @@ TEST(ReindexTest, PreservesSemantics)
     meta::applyReindexAndLayout(sch, candidates[0]);
     sch.validateAffineBindings();
     testutil::expectSameResults(sch.func(), op.func, 1, 1e-6);
+}
+
+// --- Shared sketch prologue ---------------------------------------------
+
+struct SketchCase
+{
+    const char* name;
+    workloads::OpSpec op;
+    bool gpu;
+};
+
+/** GEMM, C2D and batched GEMM for the gpu (wmma) and cpu (sdot) tensor
+ *  sketches. */
+std::vector<SketchCase>
+tensorSketchCases()
+{
+    DataType i8 = DataType::i8();
+    DataType i32 = DataType::i32();
+    return {
+        {"gmm_gpu", workloads::gmm(64, 64, 64), true},
+        {"c2d_gpu", workloads::conv2d(1, 8, 8, 16, 32, 3, 1, 1), true},
+        {"bmm_gpu", workloads::batchMatmul(2, 32, 32, 32), true},
+        {"gmm_cpu", workloads::gmm(64, 64, 64, i8, i32), false},
+        {"c2d_cpu",
+         workloads::conv2d(1, 8, 8, 16, 32, 3, 1, 1, 1, i8, i32), false},
+        {"bmm_cpu", workloads::batchMatmul(2, 32, 32, 32, i8, i32),
+         false},
+    };
+}
+
+meta::TensorizeCandidate
+bestCandidate(const SketchCase& c)
+{
+    std::vector<meta::TensorizeCandidate> cands =
+        meta::generateTensorizeCandidates(
+            c.op.func, c.op.einsum_block,
+            {c.gpu ? "wmma_16x16x16_f16" : "arm_sdot_1x1x4"});
+    if (cands.empty()) return {};
+    return cands[meta::selectTensorizeCandidate(cands)];
+}
+
+/** The sketch the factory's applier stands for, on a fresh Schedule:
+ *  the prologue and the sampled body, nothing shared. */
+void
+freshTensorSketch(Schedule& sch, const meta::TensorizeCandidate& cand,
+                  bool gpu)
+{
+    meta::ReindexBlocks rb = meta::applyReindexAndLayout(sch, cand);
+    if (gpu) {
+        meta::applyGpuTensorSketch(sch, cand, rb, {});
+    } else {
+        meta::applyCpuTensorSketch(sch, cand, rb, {});
+    }
+}
+
+/** Run `apply` on `sch`; false when it rejects the decisions. */
+template <typename F>
+bool
+completes(Schedule& sch, F&& apply)
+{
+    try {
+        apply(sch);
+        return true;
+    } catch (const FatalError&) {
+        return false;
+    }
+}
+
+TEST(SketchPrologueTest, SharedPrologueMatchesAFreshSketch)
+{
+    for (const SketchCase& c : tensorSketchCases()) {
+        SCOPED_TRACE(c.name);
+        meta::TensorizeCandidate cand = bestCandidate(c);
+        ASSERT_FALSE(cand.intrin.empty()) << "no tensorize candidate";
+        meta::SketchApplier applier =
+            meta::makeTensorSketchApplier(cand, c.gpu, {});
+        int completed = 0;
+        for (uint64_t seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(seed);
+            // A seeded trace, sampled through the applier (whose
+            // prologue is cached after the first seed).
+            Schedule sampled(c.op.func, seed);
+            if (!completes(sampled, applier)) continue;
+            ++completed;
+            // The trace replayed through the applier and through the
+            // unshared sketch on a fresh Schedule.
+            Schedule replayed(c.op.func, seed + 1000);
+            replayed.setDecisionOverrides(sampled.decisions());
+            ASSERT_TRUE(completes(replayed, applier));
+            Schedule fresh(c.op.func, seed + 2000);
+            fresh.setDecisionOverrides(sampled.decisions());
+            ASSERT_TRUE(completes(fresh, [&](Schedule& sch) {
+                freshTensorSketch(sch, cand, c.gpu);
+            }));
+            EXPECT_TRUE(structuralEqual(replayed.func(), fresh.func()));
+            EXPECT_TRUE(structuralEqual(sampled.func(), fresh.func()));
+            EXPECT_EQ(replayed.decisions(), fresh.decisions());
+        }
+        EXPECT_GT(completed, 0) << "no seed produced a valid sketch";
+    }
+}
+
+TEST(SketchPrologueTest, CompletedTraceReplaysWithoutDrawingFromTheRng)
+{
+    // The invariant the search's trace-keyed reuse rests on: given a
+    // completed trace as its overrides, a Schedule seeded differently
+    // makes the same decisions and the same program, and never draws
+    // from its RNG.
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    std::vector<meta::TensorizeCandidate> cands =
+        meta::generateTensorizeCandidates(op.func, "C",
+                                          {"wmma_16x16x16_f16"});
+    ASSERT_FALSE(cands.empty());
+    std::vector<meta::SketchApplier> appliers = {
+        meta::makeTensorSketchApplier(cands[0], /*gpu=*/true, {}),
+        meta::makeLoopSketchApplier("C", /*gpu=*/true),
+    };
+    for (size_t a = 0; a < appliers.size(); ++a) {
+        SCOPED_TRACE(a);
+        int completed = 0;
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+            Schedule first(op.func, seed);
+            if (!completes(first, appliers[a])) continue;
+            ++completed;
+            const uint64_t other_seed = seed * 7919 + 13;
+            Schedule again(op.func, other_seed);
+            again.setDecisionOverrides(first.decisions());
+            ASSERT_TRUE(completes(again, appliers[a]));
+            EXPECT_EQ(again.decisions(), first.decisions());
+            EXPECT_EQ(structuralHash(again.func()),
+                      structuralHash(first.func()));
+            Rng untouched(other_seed);
+            EXPECT_EQ(again.rng().next(), untouched.next());
+        }
+        EXPECT_GT(completed, 0);
+    }
 }
 
 TEST(FeatureTest, VectorShapeAndSensitivity)

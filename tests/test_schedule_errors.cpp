@@ -164,6 +164,21 @@ TEST(ScheduleErrorTest, UnknownBlockAndLoopNames)
     EXPECT_THROW(sch.loopExtent(stray), FatalError);
 }
 
+TEST(ScheduleErrorTest, LoopLookupFindsOnlyLiveLoops)
+{
+    // Loop lookup walks statements only. A block iterator appears in
+    // expressions but is no loop, and a loop split away is gone.
+    Schedule sch(matmul(8, 8, 8));
+    Var iter = sch.getBlock("C")->iter_vars[0].var;
+    EXPECT_THROW(sch.loopExtent(iter), FatalError);
+    EXPECT_THROW(sch.bind(iter, "threadIdx.x"), FatalError);
+    std::vector<Var> loops = sch.getLoops("C");
+    std::vector<Var> parts = sch.split(loops[0], {2, 4});
+    EXPECT_THROW(sch.loopExtent(loops[0]), FatalError);
+    EXPECT_THROW(sch.vectorize(loops[0]), FatalError);
+    EXPECT_EQ(sch.loopExtent(parts[1]), 4);
+}
+
 TEST(ScheduleErrorTest, ValidationCatchesHandCraftedBadBinding)
 {
     // Manually craft the paper's invalid v1 = i, v2 = i*2 program and

@@ -26,6 +26,7 @@
 #include "meta/sketch.h"
 #include "support/failpoint.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 #include "test_util.h"
@@ -368,6 +369,86 @@ TEST(ParallelSearchTest, InjectedFailuresAreAccountedExactly)
     EXPECT_TRUE(std::isfinite(result.best_latency_us));
     EXPECT_EQ(result.history.size(),
               static_cast<size_t>(searchOptions(2).generations) + 1);
+}
+
+/** The first number on the line of a trace::summaryText() roll-up
+ *  that starts with `label` (a span name, or "counter <name>"); 0 when
+ *  there is no such line. */
+int64_t
+summaryValue(const std::string& summary, const std::string& label)
+{
+    size_t at = summary.find("\n  " + label + " ");
+    if (at == std::string::npos) return 0;
+    return std::stoll(summary.substr(at + 3 + label.size()));
+}
+
+TEST(ParallelSearchTest, CompletedTracesAreNotReplayed)
+{
+    // A mutated child often spells out a decision trace the search has
+    // already completed; it takes that trace's outcome instead of being
+    // instantiated again, so the applier runs fewer times than the
+    // search generates candidates.
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier base =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    std::atomic<int> calls{0};
+    meta::SketchApplier counting = [&](Schedule& sch) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        base(sch);
+    };
+    meta::TuneOptions options = searchOptions(2);
+    meta::TuneResult counted =
+        meta::evolutionarySearch(op.func, counting, gpu, options);
+    const int generated_at_least =
+        options.population +
+        options.generations * options.children_per_generation;
+    EXPECT_LT(calls.load(), generated_at_least);
+    EXPECT_TRUE(std::isfinite(counted.best_latency_us));
+}
+
+TEST(ParallelSearchTest, InjectedFaultOnReusedCandidateIsContained)
+{
+    // A reused candidate still consults search.instantiate, inside the
+    // per-candidate containment, so a fault there is one runtime reject
+    // like any other. Every generated candidate (one
+    // candidate.instantiate span each, G) evaluates the site once (E)
+    // and then fires (F), takes a recorded outcome (R, the
+    // search.trace_reuses counter) or calls the applier (A); so
+    // A + R + F - G counts reused candidates the fault hit.
+    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier base =
+        meta::makeLoopSketchApplier("C", /*gpu=*/true);
+    std::atomic<int64_t> calls{0};
+    meta::SketchApplier counting = [&](Schedule& sch) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        base(sch);
+    };
+    testutil::ScopedTempDir dir;
+    failpoint::ScopedFailpoints chaos(
+        "seed=21; search.instantiate=throw(0.25)");
+    meta::TuneResult result;
+    int64_t generated = 0;
+    int64_t reused = 0;
+    {
+        trace::SessionGuard session(dir.file("trace.json"));
+        ASSERT_TRUE(session.owns());
+        result = meta::evolutionarySearch(op.func, counting, gpu,
+                                          searchOptions(2));
+        std::string summary = trace::summaryText();
+        generated = summaryValue(summary, "candidate.instantiate");
+        reused = summaryValue(summary, "counter search.trace_reuses");
+    }
+    failpoint::SiteStats st = failpoint::stats("search.instantiate");
+    EXPECT_EQ(static_cast<int64_t>(st.evaluated), generated);
+    EXPECT_GT(reused, 0);
+    EXPECT_GT(calls.load() + reused + static_cast<int64_t>(st.fired) -
+                  generated,
+              0)
+        << "no reused candidate drew a fault; the test lost its point";
+    EXPECT_EQ(result.runtime_filtered, static_cast<int>(st.fired));
+    EXPECT_TRUE(std::isfinite(result.best_latency_us));
 }
 
 TEST(ParallelSearchTest, ChaosScheduleKeepsParallelismInvariance)
