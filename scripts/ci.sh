@@ -182,7 +182,7 @@ echo "ci: runner chaos (crashed/hung workers classified and journaled) passed"
 # once with a `thread_pool.claim` delay that holds pool workers between
 # wake-up and claim. On one CPU those interleavings almost never
 # happen; the pool's claim race hid there.
-CONCURRENCY_SUITES='ThreadPool*:ParallelSearch*:ServeDatabase*:HotCache*:ScheduleServer*:RunnerSearch*'
+CONCURRENCY_SUITES='ThreadPool*:ParallelSearch*:ServeDatabase*:HotCache*:PendingTune*:ScheduleServer*:RunnerSearch*'
 if command -v taskset >/dev/null 2>&1; then
     for cpus in 2 4; do
         if (( $(nproc) < cpus )); then
@@ -238,9 +238,9 @@ echo "ci: ASan+UBSan build and tests passed"
 # TSan job (mutually exclusive with ASan, hence its own tree): the
 # concurrency-heavy suites — thread pool, trace buffers, failpoint
 # registry, the intrinsic-registry snapshot path shared by both
-# execution engines, the parallel search pipeline and its
-# watchdog/journal paths, and the serving layer (sharded database,
-# hot cache, schedule server). The full suite under TSan's ~10x
+# execution engines, the parallel search pipeline and its journal
+# paths, and the serving layer (sharded database, hot cache, pending
+# tune handle, schedule server). The full suite under TSan's ~10x
 # slowdown buys no extra coverage: everything else is single-threaded.
 TSAN_DIR="${BUILD_DIR}-tsan"
 rm -rf "$TSAN_DIR"
@@ -250,6 +250,6 @@ cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-Wno-restrict -fno-sanitize-recover=all"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target tensorir_tests
 "$TSAN_DIR/tests/tensorir_tests" \
-    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:ServeDatabase*:HotCache*:ScheduleServer*'
+    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:ServeDatabase*:HotCache*:PendingTune*:ScheduleServer*'
 
 echo "ci: TSan build and concurrency tests passed"

@@ -46,7 +46,7 @@ readBitsList(std::istream& is, std::vector<double>* out)
 /** Format tag of the identity line; bump it whenever a record's layout
  *  or the identity's field set changes, so older journals never match
  *  and their searches start fresh. */
-constexpr const char* kFormatTag = "v3";
+constexpr const char* kFormatTag = "v4";
 
 std::string
 generationBody(const JournalGeneration& g)
@@ -77,7 +77,10 @@ generationBody(const JournalGeneration& g)
         os << "\n";
     }
     for (const auto& [hash, e] : g.memo) {
-        os << "memo " << hash << " " << e.measured << " " << e.eval_failed
+        // The analysis verdict is a RejectKind index, -1 when it passed.
+        os << "memo " << hash << " "
+           << (e.reject ? static_cast<int>(*e.reject) : -1) << " "
+           << e.measured << " " << e.eval_failed
            << " " << e.compile_timed_out << " " << e.crashed << " "
            << e.hanged << " " << doubleBitsHex(e.estimate.latency_us)
            << " " << doubleBitsHex(e.measured_latency_us);
@@ -152,14 +155,18 @@ parseRecord(std::string_view body, JournalContents* out)
             gen.new_samples.push_back(std::move(s));
         } else if (tag == "memo") {
             uint64_t hash = 0;
+            int verdict = 0;
             MemoEntry e;
-            ls >> hash >> e.measured >> e.eval_failed >>
+            ls >> hash >> verdict >> e.measured >> e.eval_failed >>
                 e.compile_timed_out >> e.crashed >> e.hanged;
-            if (ls.fail() || !readBits(ls, &e.estimate.latency_us) ||
+            if (ls.fail() || verdict < -1 ||
+                verdict >= static_cast<int>(kNumRejectKinds) ||
+                !readBits(ls, &e.estimate.latency_us) ||
                 !readBits(ls, &e.measured_latency_us) ||
                 !readBitsList(ls, &e.features)) {
                 return false;
             }
+            if (verdict >= 0) e.reject = static_cast<RejectKind>(verdict);
             // readBitsList stopped at the "|" separator, if any: the
             // rest of the line, minus one space, is the violation text.
             if (std::getline(ls, e.estimate.violation) &&
@@ -210,8 +217,7 @@ journalIdentity(uint64_t workload_hash, const TuneOptions& options)
        // decides which candidates survive.
        << options.lint_filter << " " << options.numeric_check_topk << " "
        << doubleBitsHex(options.numeric_check_tolerance) << " "
-       << token(options.engine) << " " << options.eval_step_limit << " "
-       << doubleBitsHex(options.stage_timeout_s);
+       << token(options.engine) << " " << options.eval_step_limit;
     return os.str();
 }
 

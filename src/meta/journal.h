@@ -24,7 +24,8 @@
  * Checkpoints store the search's own types: the TuneCounters block,
  * best, history, the survivor population's decision traces, and
  * per-generation deltas of the training set and of the structural-hash
- * memo (every MemoEntry added or changed since the last checkpoint).
+ * memo (every MemoEntry added or changed since the last checkpoint,
+ * analysis verdict included).
  * Because the search is deterministic for a fixed seed, restoring that
  * state and re-running the remaining generations yields a `TuneResult`
  * byte-identical to an uninterrupted run; programs are re-derived from

@@ -66,9 +66,9 @@ struct Measurement
      *  charged as a trial, and never retried. */
     bool crashed = false;
     /** The isolated measurement exceeded MeasureConfig::timeout_ms and
-     *  the worker was SIGKILLed — the hard timeout that covers native
-     *  hangs the cooperative stage watchdog cannot interrupt. Rejected
-     *  into TuneResult::hang_filtered, not charged as a trial. */
+     *  the worker was SIGKILLed — the hard timeout that bounds native
+     *  hangs, which interpreter fuel cannot reach. Rejected into
+     *  TuneResult::hang_filtered, not charged as a trial. */
     bool hanged = false;
     /** Real wall clock this measurement consumed (compile + warmup +
      *  timed repeats), in microseconds. Non-deterministic; 0 for the

@@ -4,16 +4,17 @@
  * evolutionary search re-derives the same candidate schedule
  * surprisingly often — mutation moves a tile factor back, two parents
  * produce the same child, the loop-sketch family revisits a prior
- * configuration — and each duplicate used to pay full feature
- * extraction plus a simulated hardware measurement. The memo keys every
- * evaluated candidate by structuralHash(func): a hit returns the cached
- * feature vector and device estimate, so a candidate whose hash has
- * already been evaluated skips the stats walk, feature extraction, and
- * device-model run entirely — the real wall-clock cost of a
- * "measurement" in this substrate. The *simulated* Table 1 accounting
- * still charges duplicates (the paper's tuners re-profile them; see
- * commitMeasurement in search.cpp), so the cache changes how fast the
- * pipeline runs, never what it reports.
+ * configuration — and each duplicate used to pay static analysis,
+ * feature extraction and a simulated hardware measurement. The memo
+ * keys every evaluated structure by structuralHash(func): a hit returns
+ * the cached analysis verdict, feature vector and device estimate, so a
+ * candidate whose hash has already been evaluated skips the analysis,
+ * the stats walk, feature extraction and device-model run entirely —
+ * the real wall-clock cost of a "measurement" in this substrate. The
+ * *simulated* Table 1 accounting still charges duplicates (the paper's
+ * tuners re-profile them; see Search::commitMeasurement in
+ * search.cpp), so the cache changes how fast the pipeline runs, never
+ * what it reports.
  *
  * Thread-safety: the cache is only read and written from the search's
  * sequential fold phase (the main thread), never from pool workers, so
@@ -24,10 +25,12 @@
 #define TENSORIR_META_MEMO_H
 
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "hwsim/device.h"
 #include "meta/gbdt.h"
+#include "meta/search.h"
 
 namespace tir {
 namespace meta {
@@ -35,6 +38,11 @@ namespace meta {
 /** Cached evaluation of one structurally-distinct candidate. */
 struct MemoEntry
 {
+    /** Why static analysis or the opt-in lint rejected this structure
+     *  (§3.3): kRace, kBounds or kLint, or kInvalid/kRuntime when the
+     *  analysis itself threw. Decided first; a rejected entry carries
+     *  nothing below. Empty when the structure passed. */
+    std::optional<RejectKind> reject;
     FeatureVec features;
     /** Device-model estimate (latency or constraint violation). */
     hwsim::RunEstimate estimate;

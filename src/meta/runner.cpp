@@ -313,18 +313,17 @@ MeasureRunner::MeasureRunner(PrimFunc workload, RunnerConfig config)
                         saved_sigpipe_.data())) == 0) {
         sigpipe_saved_ = true;
     }
-    workers_.resize(static_cast<size_t>(std::max(1, config_.pool_size)));
     // Pre-fork eagerly: the measurer is constructed before the search
-    // spawns its thread pool, so the initial forks happen while this
+    // spawns its thread pool, so the initial fork happens while this
     // process is still single-threaded — the only fully safe time.
     // Respawns after a crash happen from the sequential measurement
     // fold, when pool threads are parked on their condition variable.
-    for (Worker& w : workers_) spawnWorker(w);
+    spawnWorker(worker_);
 }
 
 MeasureRunner::~MeasureRunner()
 {
-    for (Worker& w : workers_) destroyWorker(w, /*force_kill=*/false);
+    destroyWorker(worker_, /*force_kill=*/false);
     if (sigpipe_saved_) {
         ::sigaction(SIGPIPE,
                     reinterpret_cast<struct sigaction*>(
@@ -468,16 +467,14 @@ MeasureRunner::run(const RunnerRequest& request)
             trace::counterAdd("runner.transient_retries", 1);
             result.retries = attempt;
         }
-        Worker& worker = workers_[next_worker_];
-        next_worker_ = (next_worker_ + 1) % workers_.size();
-        if (worker.pid < 0 && !spawnWorker(worker)) {
+        if (worker_.pid < 0 && !spawnWorker(worker_)) {
             result.detail = "worker startup failed";
             continue; // transient
         }
-        if (!writeAll(worker.req_fd, framed)) {
+        if (!writeAll(worker_.req_fd, framed)) {
             // The worker died before this request reached it: nothing
             // of the candidate ran, so this is transient, not a crash.
-            reapWorker(worker);
+            reapWorker(worker_);
             result.detail = "request write failed";
             continue;
         }
@@ -487,7 +484,7 @@ MeasureRunner::run(const RunnerRequest& request)
         bool corrupt = false;
         std::string reply;
         for (;;) {
-            int got = extractFrame(worker.buffer, &reply);
+            int got = extractFrame(worker_.buffer, &reply);
             if (got == 1) break;
             if (got == -1) {
                 corrupt = true;
@@ -495,10 +492,10 @@ MeasureRunner::run(const RunnerRequest& request)
             }
             double remaining = unlimited ? 0 : deadline - monotonicMs();
             if (!unlimited && remaining <= 0) {
-                // Hard timeout: the cooperative watchdog cannot stop a
-                // native loop, SIGKILL can. Classified, never retried.
-                ::kill(worker.pid, SIGKILL);
-                reapWorker(worker);
+                // Hard timeout: nothing but SIGKILL stops a native
+                // loop. Classified, never retried.
+                ::kill(worker_.pid, SIGKILL);
+                reapWorker(worker_);
                 result.status = RunnerStatus::kHang;
                 result.term_signal = SIGKILL;
                 result.detail = "timeout";
@@ -507,7 +504,7 @@ MeasureRunner::run(const RunnerRequest& request)
                 return result;
             }
             struct pollfd pfd;
-            pfd.fd = worker.resp_fd;
+            pfd.fd = worker_.resp_fd;
             pfd.events = POLLIN;
             pfd.revents = 0;
             int pr = ::poll(&pfd, 1,
@@ -517,10 +514,10 @@ MeasureRunner::run(const RunnerRequest& request)
             if (pr < 0 && errno == EINTR) continue;
             if (pr <= 0) continue; // deadline re-checked above
             char chunk[4096];
-            ssize_t n = ::read(worker.resp_fd, chunk, sizeof(chunk));
+            ssize_t n = ::read(worker_.resp_fd, chunk, sizeof(chunk));
             if (n < 0 && errno == EINTR) continue;
             if (n <= 0) break; // EOF: worker died mid-request
-            worker.buffer.append(chunk, static_cast<size_t>(n));
+            worker_.buffer.append(chunk, static_cast<size_t>(n));
         }
 
         if (!reply.empty() && !corrupt) {
@@ -549,8 +546,8 @@ MeasureRunner::run(const RunnerRequest& request)
         // EOF or a corrupt frame: reap and classify from the waitpid
         // status. Death by signal or a nonzero exit while the kernel
         // was running is a deterministic crash — never retried.
-        if (corrupt) ::kill(worker.pid, SIGKILL);
-        int status = reapWorker(worker);
+        if (corrupt) ::kill(worker_.pid, SIGKILL);
+        int status = reapWorker(worker_);
         if (status >= 0 && WIFSIGNALED(status)) {
             result.status = RunnerStatus::kCrash;
             result.term_signal = WTERMSIG(status);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Process-isolated measurement runner: a fork-server worker pool that
- * executes JIT-compiled candidate kernels in child processes, so the
+ * Process-isolated measurement runner: a fork-server worker that
+ * executes JIT-compiled candidate kernels in a child process, so the
  * one thing an evolutionary search will eventually generate — a
  * candidate that segfaults, abort()s, or loops forever in native code —
  * kills a disposable worker instead of the tuning session (the same
@@ -15,8 +15,8 @@
  *    oracle, memoisation, journaling.
  *  - The **worker child** does the only dangerous step: dlopen the
  *    compiled `.so` and run the timing loop over the seeded argument
- *    tensors. Workers are pre-forked and reused across candidates
- *    (fork-server style); a worker inherits the workload and the
+ *    tensors. The worker is pre-forked and reused across candidates
+ *    (fork-server style); it inherits the workload and the
  *    measurement seed at fork time, so a request only carries the
  *    object path, entry symbol, and the candidate's intermediate-
  *    buffer sizes.
@@ -33,8 +33,8 @@
  *    nonzero — while running a kernel is a **crash**: deterministic,
  *    never retried, counted in TuneResult::crash_filtered;
  *  - a worker that exceeds the wall-clock budget is SIGKILLed and
- *    classified a **hang** — the hard timeout covers native loops the
- *    cooperative StageWatchdog cannot interrupt — counted in
+ *    classified a **hang** — the hard timeout is what bounds a native
+ *    loop; interpreter fuel only bounds interpreted runs — counted in
  *    TuneResult::hang_filtered;
  *  - a worker that dies *before* the kernel ran (startup failure,
  *    clean exit without a reply) is **transient**: respawned and
@@ -147,11 +147,6 @@ struct RunnerResult
  *  the measurement backend). */
 struct RunnerConfig
 {
-    /** Pre-forked workers kept warm. Measurements are sequential (the
-     *  search's measurement fold is single-threaded), so 1 is the
-     *  default; larger pools rotate requests round-robin, which keeps
-     *  spare workers warm across a crash. */
-    int pool_size = 1;
     /** Hard wall-clock budget per measurement in milliseconds,
      *  enforced by SIGKILL; 0 = unlimited. */
     double timeout_ms = 10000;
@@ -166,12 +161,12 @@ struct RunnerConfig
 };
 
 /**
- * The fork-server pool. Constructed with the workload whose parameter
- * shapes define the measurement inputs; workers fork immediately (so
- * the fork happens before the search spawns its thread pool) and are
- * reused across candidates until one crashes, hangs, or the runner is
- * destroyed. Not thread-safe: call run() from one thread (the search's
- * sequential measurement fold).
+ * The fork server. Constructed with the workload whose parameter shapes
+ * define the measurement inputs; its one worker forks immediately (so
+ * the fork happens before the search spawns its thread pool) and is
+ * reused across candidates until it crashes or hangs (then respawned),
+ * or the runner is destroyed. Measurements are sequential: call run()
+ * from one thread (the search's sequential measurement fold).
  */
 class MeasureRunner
 {
@@ -202,8 +197,7 @@ class MeasureRunner
 
     PrimFunc workload_;
     RunnerConfig config_;
-    std::vector<Worker> workers_;
-    size_t next_worker_ = 0;
+    Worker worker_;
     bool sigpipe_saved_ = false;
     /** Opaque storage for the saved SIGPIPE disposition (struct
      *  sigaction, kept out of the header). */

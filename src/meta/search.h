@@ -4,11 +4,14 @@
  * model and validation filtering, plus the top-level auto-tuner that
  * wires together candidate generation, sketch generation, and search.
  *
- * The search runs as a parallel pipeline: per generation, candidate
- * instantiation (schedule rewrites + validation), feature extraction,
- * and simulated measurement are distributed over a std::jthread pool,
- * while all result folding (cost-model training data, best tracking,
- * population survival) happens sequentially in candidate-index order.
+ * The search runs as named stages shared by the initial population and
+ * every generation (instantiate -> evaluate -> screen -> measure ->
+ * survive, see search.cpp). Candidate instantiation (sketch replay +
+ * threading validation) and per-structure evaluation (static analysis,
+ * features, device estimate) are distributed over a std::jthread pool,
+ * while all result folding (measurement, cost-model training data,
+ * best tracking, population survival) happens sequentially in
+ * candidate-index order.
  *
  * Determinism contract: for a fixed `TuneOptions::seed`, tuning results
  * — `best_decisions`, `best_latency_us`, `best_sketch`, `history`,
@@ -143,23 +146,14 @@ struct TuneOptions
      * Interpreter fuel budget per candidate evaluation: the maximum
      * number of statements a simulated measurement may execute before
      * it is aborted with a structured EvalError (a contained runtime
-     * reject, counted in `runtime_filtered`, not process death; only
-     * the stage watchdog feeds `timeout_filtered`). 0 = unlimited.
+     * reject, counted in `runtime_filtered`, not process death; native
+     * hangs are the measurement runner's SIGKILL, `hang_filtered`).
+     * 0 = unlimited.
      * The default is generous — real candidates finish in well under
      * a millionth of it — so it only catches pathological programs
      * that would otherwise spin the interpreter forever.
      */
     uint64_t eval_step_limit = 1ull << 33;
-    /**
-     * Wall-clock watchdog per evaluation stage, in seconds. When a
-     * stage overruns, workers stop picking up new candidates and the
-     * unprocessed remainder is rejected as timed out (counted in
-     * `timeout_filtered`, overruns in `timings.watchdog_overruns`).
-     * 0 (the default) disables the watchdog: timeouts depend on real
-     * wall-clock, so enabling it trades the byte-identical determinism
-     * contract for bounded stage latency.
-     */
-    double stage_timeout_s = 0;
     /**
      * Numeric spot-check budget: when > 0, the first
      * `numeric_check_topk` candidates of each measurement set (the
@@ -268,7 +262,10 @@ enum class RejectKind : uint8_t
      *  non-FatalError exception (std::bad_alloc, interpreter fuel
      *  exhaustion, an injected fault). */
     kRuntime,
-    /** Abandoned because the stage watchdog expired first. */
+    /** No producer: the search has no wall-clock cutoff (interpreter
+     *  fuel and the runner's SIGKILL bound every evaluation). Kept
+     *  because the benchmark's reject count (perfbench/worker.cpp)
+     *  still reads `timeout_filtered`. */
     kTimeout,
     /** Dataflow lint found an error-severity use-before-init read. */
     kLint,
@@ -305,7 +302,7 @@ struct TuneCounters
     /** Contained non-FatalError exceptions (std::bad_alloc, injected
      *  faults, interpreter fuel exhaustion, …). */
     int runtime_filtered = 0;
-    /** Abandoned by the stage watchdog (TuneOptions::stage_timeout_s). */
+    /** Always 0: RejectKind::kTimeout has no producer. */
     int timeout_filtered = 0;
     /** Error-severity TIR-L001 use-before-init reads (only with
      *  TuneOptions::lint_filter). */
@@ -340,8 +337,9 @@ struct TuneCounters
     /** Cost-model retrains that failed (threw, or produced a non-finite
      *  loss) and fell back to the last good model. */
     int model_fallbacks = 0;
-    /** Candidates whose features/estimate came from the structural-hash
-     *  memo instead of being recomputed (duplicate schedules). */
+    /** Candidates that passed static analysis and took their
+     *  features/estimate from the structural-hash memo instead of being
+     *  evaluated again (duplicate schedules). */
     int memo_hits = 0;
     /** Measurements served from the memo because a structurally
      *  identical candidate was already measured (nothing re-run; the
@@ -432,9 +430,12 @@ struct TuneResult : TuneCounters
      *  process, not the simulated hardware. */
     struct StageTimings
     {
-        /** Candidate instantiation: schedule rewrites + validation. */
+        /** Instantiate stage: sketch replay, thread-binding check and
+         *  structural hash. */
         double generate_s = 0;
-        /** Stats/feature extraction + device-model estimates. */
+        /** Evaluate stage: static analysis (and the opt-in lint),
+         *  stats/feature extraction and device-model estimates, once
+         *  per distinct structure. */
         double evaluate_s = 0;
         /** Cost-model fitting and child ranking. */
         double model_s = 0;
@@ -445,10 +446,6 @@ struct TuneResult : TuneCounters
         double measure_s = 0;
         /** Whole search. */
         double total_s = 0;
-        /** Configured per-stage watchdog budget (0 = disabled). */
-        double watchdog_timeout_s = 0;
-        /** Stages the watchdog cut short. */
-        int watchdog_overruns = 0;
     };
     StageTimings timings;
 

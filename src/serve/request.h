@@ -31,8 +31,8 @@ namespace serve {
 class PendingTune
 {
   public:
-    /** Latest streamed record, or nullopt before the first checkpoint
-     *  with a finite latency. */
+    /** Fastest streamed record (the first of equally fast ones), or
+     *  nullopt before the first checkpoint with a finite latency. */
     std::optional<meta::TuneRecord>
     best() const
     {
@@ -85,7 +85,8 @@ class PendingTune
         return done_ && failed_;
     }
 
-    /** How many records have been streamed so far (monotonic). */
+    /** How many records have been published so far, kept or not
+     *  (monotonic). */
     int
     updates() const
     {
@@ -95,13 +96,18 @@ class PendingTune
 
     // --- server side -----------------------------------------------
 
-    /** Stream an improving record (latest wins). Server only. */
+    /** Stream a record. The handle keeps it only when it is faster
+     *  than every record before it: autoTune's two searches each
+     *  announce their own best-so-far, and the second may announce a
+     *  slower one. Server only. */
     void
     publish(const meta::TuneRecord& record)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            best_ = record;
+            if (!best_ || record.latency_us < best_->latency_us) {
+                best_ = record;
+            }
             ++updates_;
         }
         updated_.notify_all();

@@ -54,9 +54,7 @@ ScheduleServer::target(const std::string& name)
     std::lock_guard<std::mutex> lock(targets_mutex_);
     auto it = targets_.find(name);
     if (it != targets_.end()) return *it->second;
-    auto shard = std::make_unique<TargetShard>(
-        options_.db_shards_per_target, options_.hot_cache_slots,
-        deviceFor(name));
+    auto shard = std::make_unique<TargetShard>(deviceFor(name));
     if (!options_.snapshot_prefix.empty()) {
         // Warm start from the previous run's snapshot, if any. Load is
         // tolerant: a torn snapshot cannot exist (save renames
@@ -180,9 +178,8 @@ ScheduleServer::runTune(std::string target_name, TargetShard* shard,
 
     bool ok = false;
     try {
-        meta::TuneResult result = meta::autoTune(
-            task, shard->device(), opts, options_.style,
-            /*database=*/nullptr);
+        meta::TuneResult result =
+            meta::autoTune(task, shard->device(), opts);
         if (std::isfinite(result.best_latency_us)) {
             meta::TuneRecord record =
                 makeRecord(result.best_latency_us,

@@ -53,18 +53,12 @@ struct ServeOptions
      *  tune_workers + 1 threads (the pool counts its owner), so this
      *  many tunes run concurrently. Must be >= 1. */
     int tune_workers = 2;
-    /** Lock shards per target database (contention granularity of the
-     *  authoritative store). */
-    int db_shards_per_target = 8;
-    /** Hot-cache slots per target (rounded up to a power of two). */
-    size_t hot_cache_slots = 256;
-    /** Search budget for each background tune. Its `progress` callback
-     *  slot is owned by the server (overwritten per job); everything
-     *  else passes through to autoTune. Keep parallelism = 1 unless
-     *  tune_workers is small: each job may spawn its own nested pool. */
+    /** Search budget for each background tune (the TensorIR persona).
+     *  Its `progress` callback slot is owned by the server (overwritten
+     *  per job); everything else passes through to autoTune. Keep
+     *  parallelism = 1 unless tune_workers is small: each job may spawn
+     *  its own nested pool. */
     meta::TuneOptions tune;
-    /** Tuner persona for background tunes. */
-    meta::TunerStyle style = meta::TunerStyle::kTensorIR;
     /**
      * When non-empty: warm-start and persistence. At first use of a
      * target, records are loaded (tolerantly) from

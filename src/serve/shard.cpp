@@ -7,6 +7,10 @@ namespace serve {
 
 namespace {
 
+/** Lock shards of a target's database (contention granularity of the
+ *  authoritative store). */
+constexpr int kDatabaseShards = 8;
+
 size_t
 roundUpPow2(size_t n)
 {
@@ -108,9 +112,8 @@ HotCache::put(std::shared_ptr<const meta::TuneRecord> record)
     victim->record.store(raw, std::memory_order_release);
 }
 
-TargetShard::TargetShard(int db_shards, size_t hot_slots,
-                         std::unique_ptr<hwsim::DeviceModel> device)
-    : device_(std::move(device)), database_(db_shards), hot_(hot_slots)
+TargetShard::TargetShard(std::unique_ptr<hwsim::DeviceModel> device)
+    : device_(std::move(device)), database_(kDatabaseShards)
 {
     TIR_ICHECK(device_) << "TargetShard requires a device model";
 }

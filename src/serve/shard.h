@@ -123,8 +123,7 @@ class HotCache
 class TargetShard
 {
   public:
-    TargetShard(int db_shards, size_t hot_slots,
-                std::unique_ptr<hwsim::DeviceModel> device);
+    explicit TargetShard(std::unique_ptr<hwsim::DeviceModel> device);
 
     struct Hit
     {

@@ -41,7 +41,7 @@
  *  - `error`   — inject() returns true; the caller takes its own error
  *                path (a structured reject, a skipped write, ...).
  *  - `delay`   — sleep `arg` milliseconds, then behave as not-fired
- *                (for watchdog and timeout testing).
+ *                (for timeout and interleaving testing).
  *  - `corrupt` — at injectCorrupt() sites, flip `arg` deterministically
  *                chosen bytes of the caller's buffer; at plain inject()
  *                sites, degrade to `error`.

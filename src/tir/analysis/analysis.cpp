@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <tuple>
 
 #include "arith/interval.h"
 #include "ir/printer.h"
-#include "ir/structural_hash.h"
 #include "ir/transform.h"
 #include "lower/lower.h"
 #include "support/trace.h"
@@ -977,94 +974,6 @@ barrierLoadBearing(const AccessSite& earlier, const AccessSite& later,
         }
     }
     return false;
-}
-
-// --- cached analysis (the search-filter fast path) --------------------
-
-namespace {
-
-using AnalysisCacheKey = std::tuple<uint64_t, int, int64_t, bool, int>;
-
-struct AnalysisCache
-{
-    std::mutex mutex;
-    std::map<AnalysisCacheKey, AnalysisReport> entries;
-};
-
-AnalysisCache&
-analysisCache()
-{
-    static AnalysisCache cache;
-    return cache;
-}
-
-/** Entry bound: past this the cache is dropped wholesale. Search runs
- *  see far fewer distinct structures than this, so eviction never
- *  perturbs them; the bound only stops pathological growth. */
-constexpr size_t kAnalysisCacheMaxEntries = 8192;
-
-AnalysisCacheKey
-cacheKey(uint64_t func_hash, int family, const AnalysisOptions& options)
-{
-    return {func_hash, family, options.exhaustive_pair_limit,
-            options.check_parallel_loops, options.max_diagnostics};
-}
-
-} // namespace
-
-bool
-cachedReportLookup(uint64_t func_hash, int family,
-                   const AnalysisOptions& options, AnalysisReport* out)
-{
-    AnalysisCache& cache = analysisCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it =
-            cache.entries.find(cacheKey(func_hash, family, options));
-        if (it != cache.entries.end()) {
-            trace::counterAdd("analysis.cache_hit", 1);
-            *out = it->second;
-            return true;
-        }
-    }
-    trace::counterAdd("analysis.cache_miss", 1);
-    return false;
-}
-
-void
-cachedReportStore(uint64_t func_hash, int family,
-                  const AnalysisOptions& options,
-                  const AnalysisReport& report)
-{
-    AnalysisCache& cache = analysisCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    if (cache.entries.size() >= kAnalysisCacheMaxEntries) {
-        cache.entries.clear();
-    }
-    cache.entries.emplace(cacheKey(func_hash, family, options), report);
-}
-
-AnalysisReport
-analyzeFuncCached(const PrimFunc& func, const AnalysisOptions& options)
-{
-    uint64_t hash = structuralHash(func);
-    AnalysisReport report;
-    if (cachedReportLookup(hash, /*family=*/0, options, &report)) {
-        return report;
-    }
-    // Analyze outside the lock: workers with distinct candidates must
-    // not serialize on each other's proofs.
-    report = analyzeFunc(func, options);
-    cachedReportStore(hash, /*family=*/0, options, report);
-    return report;
-}
-
-void
-clearAnalysisCache()
-{
-    AnalysisCache& cache = analysisCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    cache.entries.clear();
 }
 
 std::vector<RegionPiece>

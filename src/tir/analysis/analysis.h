@@ -135,37 +135,6 @@ struct AnalysisOptions
 AnalysisReport analyzeFunc(const PrimFunc& func,
                            const AnalysisOptions& options = {});
 
-/**
- * analyzeFunc through a process-wide cache keyed by the structural
- * hash of `func` plus the option fields that influence the verdicts.
- * The evolutionary search instantiates many structurally identical
- * candidates (duplicate decision traces), and re-extracting their
- * access regions per filter invocation is pure waste; the cached entry
- * returns the identical report (diagnostics reference buffer names and
- * rendered expressions, not node pointers, so reports transfer between
- * structurally equal functions). Thread-safe (pool workers share it);
- * hit/miss totals are exposed as the trace counters
- * `analysis.cache_hit` / `analysis.cache_miss`.
- */
-AnalysisReport analyzeFuncCached(const PrimFunc& func,
-                                 const AnalysisOptions& options = {});
-
-/** Drop every cached analysis report (tests use this to pin the
- *  cold-path/hot-path identity). Clears the lint cache too. */
-void clearAnalysisCache();
-
-/** @private Shared report-cache plumbing for analyzeFuncCached and
- *  lintFuncCached (dataflow.cpp). `family` discriminates the producing
- *  analysis; lookups bump the `analysis.cache_hit` / `_miss` trace
- *  counters. Not part of the public surface. */
-bool cachedReportLookup(uint64_t func_hash, int family,
-                        const AnalysisOptions& options,
-                        AnalysisReport* out);
-/** @private Counterpart of cachedReportLookup. */
-void cachedReportStore(uint64_t func_hash, int family,
-                       const AnalysisOptions& options,
-                       const AnalysisReport& report);
-
 struct AccessSite;
 struct FuncAccesses;
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "ir/printer.h"
-#include "ir/structural_hash.h"
 #include "ir/transform.h"
 #include "lower/lower.h"
 #include "support/trace.h"
@@ -452,19 +451,6 @@ lintFunc(const PrimFunc& func, const AnalysisOptions& options)
                          return static_cast<int>(a.severity) <
                                 static_cast<int>(b.severity);
                      });
-    return report;
-}
-
-AnalysisReport
-lintFuncCached(const PrimFunc& func, const AnalysisOptions& options)
-{
-    uint64_t hash = structuralHash(func);
-    AnalysisReport report;
-    if (cachedReportLookup(hash, /*family=*/1, options, &report)) {
-        return report;
-    }
-    report = lintFunc(func, options);
-    cachedReportStore(hash, /*family=*/1, options, report);
     return report;
 }
 

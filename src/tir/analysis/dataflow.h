@@ -109,12 +109,6 @@ DataflowInfo computeDataflow(const PrimFunc& func,
 AnalysisReport lintFunc(const PrimFunc& func,
                         const AnalysisOptions& options = {});
 
-/** lintFunc through the same structural-hash cache discipline as
- *  analyzeFuncCached (shared hit/miss trace counters; cleared by
- *  clearAnalysisCache). */
-AnalysisReport lintFuncCached(const PrimFunc& func,
-                              const AnalysisOptions& options = {});
-
 } // namespace analysis
 } // namespace tir
 

@@ -338,16 +338,10 @@ TEST(AnalysisWiringTest, DebugChecksEnvironmentIsAStrictFlag)
 
 TEST(AnalysisWiringTest, SearchFiltersRacyCandidatesAndCountsThem)
 {
-    // A sketch family where one categorical decision picks the loop to
-    // bind: the reduction choice races (filtered and counted), the
+    // The reduction-bound choice races (filtered and counted), the
     // spatial choices are clean (they form the population).
     workloads::OpSpec op = workloads::gmm(32, 32, 32);
-    meta::SketchApplier sketch = [](Schedule& sch) {
-        std::vector<Var> loops = sch.getLoops("C");
-        int64_t choice =
-            sch.sampleCategorical({0, 1, 2}, {1.0, 1.0, 1.0});
-        sch.bind(loops[static_cast<size_t>(choice)], "threadIdx.x");
-    };
+    meta::SketchApplier sketch = testutil::racyBindingSketch();
     hwsim::GpuDevice gpu;
     meta::TuneOptions options;
     options.population = 6;

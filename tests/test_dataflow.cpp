@@ -631,35 +631,5 @@ TEST(DataflowSearchWiringTest, LintFilterPassesCleanCandidates)
     EXPECT_EQ(on.trials_measured, off.trials_measured);
 }
 
-// --- Shared analysis-report cache ----------------------------------------
-
-TEST(AnalysisCacheTest, CachedReportsMatchUncachedByFamily)
-{
-    // One function with findings in both families, queried through
-    // both cached entry points: results must equal the uncached runs
-    // (the cache key separates the families — a stored race report
-    // must never be returned for a lint query).
-    PrimFunc func = perThreadStaging();
-    analysis::clearAnalysisCache();
-
-    AnalysisReport analyze_cached = analysis::analyzeFuncCached(func);
-    AnalysisReport lint_cached = analysis::lintFuncCached(func);
-    EXPECT_EQ(analyze_cached.summary(),
-              analysis::analyzeFunc(func).summary());
-    EXPECT_EQ(lint_cached.summary(),
-              analysis::lintFunc(func).summary());
-
-    // Second round hits the cache; contents must be identical.
-    EXPECT_EQ(analysis::analyzeFuncCached(func).summary(),
-              analyze_cached.summary());
-    EXPECT_EQ(analysis::lintFuncCached(func).summary(),
-              lint_cached.summary());
-
-    // And again after a wholesale clear (recomputed, same answer).
-    analysis::clearAnalysisCache();
-    EXPECT_EQ(analysis::lintFuncCached(func).summary(),
-              lint_cached.summary());
-}
-
 } // namespace
 } // namespace tir

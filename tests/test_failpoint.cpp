@@ -176,7 +176,7 @@ TEST_F(FailpointTest, DelayActionSleepsThenDoesNotFire)
     failpoint::configure("slow.site=delay(1,5)");
     // A delay site slows the caller but reports "not fired": the
     // caller's logic is unaffected, only its wall-clock (the tool for
-    // watchdog tests).
+    // timeout and interleaving tests).
     EXPECT_FALSE(failpoint::inject("slow.site"));
     EXPECT_EQ(failpoint::stats("slow.site").fired, 1u);
 }

@@ -290,8 +290,8 @@ TEST_F(RunnerSearchTest, HangingCandidatesAreTimeoutKilledAndFiltered)
     meta::SketchApplier sketch =
         meta::makeLoopSketchApplier("C", /*gpu=*/false);
     // A short hard timeout keeps the SIGKILL path fast; the hang
-    // failpoint wedges the worker in a pause() loop the cooperative
-    // watchdog could never interrupt.
+    // failpoint wedges the worker in a pause() loop that only the
+    // SIGKILL can end.
     ScopedEnv timeout("TENSORIR_MEASURE_TIMEOUT_MS", "300");
     failpoint::ScopedFailpoints chaos(
         "seed=11; runner.hang=error(0.5)");

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -677,29 +678,90 @@ TEST(ParallelSearchTest, JournalKeepsMemoEntriesMeasuredInLaterGenerations)
     }
 }
 
-TEST(ParallelSearchTest, WatchdogCutsOverrunningStagesShort)
+/** Budget of the racy-binding search (testutil::racyBindingSketch)
+ *  whose result is pinned below. */
+meta::TuneOptions
+racyOptions(int parallelism)
 {
-    // Candidates that sleep past the stage budget are abandoned as
-    // timeouts by the cooperative watchdog — the search finishes with
-    // whatever it processed in time instead of hanging.
-    workloads::OpSpec op = workloads::gmm(128, 128, 128);
+    meta::TuneOptions options;
+    options.population = 6;
+    options.generations = 3;
+    options.children_per_generation = 12;
+    options.measured_per_generation = 4;
+    options.seed = 11;
+    options.parallelism = parallelism;
+    return options;
+}
+
+/** The racy-binding search's counters and winner, pinned: where the
+ *  search analyzes a structure and caches its verdict must not change
+ *  what it filters, hits in the memo, measures or finds. */
+void
+expectPinnedRacyResult(const meta::TuneResult& result)
+{
+    EXPECT_EQ(result.race_filtered, 10);
+    EXPECT_EQ(result.memo_hits, 32);
+    EXPECT_EQ(result.memo_measure_hits, 16);
+    EXPECT_EQ(result.trials_measured, 18);
+    const double best = std::bit_cast<double>(uint64_t{0x4075d5fb89c5728b});
+    EXPECT_EQ(result.best_latency_us, best);
+    EXPECT_EQ(result.history, std::vector<double>(4, best));
+}
+
+TEST(ParallelSearchTest, RacySketchResultIsPinnedAtAnyParallelism)
+{
+    workloads::OpSpec op = workloads::gmm(32, 32, 32);
     hwsim::GpuDevice gpu;
-    meta::SketchApplier sketch =
-        meta::makeLoopSketchApplier("C", /*gpu=*/true);
-    meta::TuneOptions options = searchOptions(2);
-    options.stage_timeout_s = 0.02;
+    failpoint::ScopedFailpoints quiet("");
+    for (int parallelism : {1, 4}) {
+        SCOPED_TRACE(parallelism);
+        expectPinnedRacyResult(meta::evolutionarySearch(
+            op.func, testutil::racyBindingSketch(), gpu,
+            racyOptions(parallelism)));
+    }
+}
 
-    failpoint::ScopedFailpoints slow("search.instantiate=delay(1,30)");
-    meta::TuneResult result =
+TEST(ParallelSearchTest, RacySketchResultIsPinnedAcrossResume)
+{
+    // Journaled memo entries carry the analysis verdict: a resumed
+    // search rejects the racy structure from the restored memo exactly
+    // as the uninterrupted search did.
+    workloads::OpSpec op = workloads::gmm(32, 32, 32);
+    hwsim::GpuDevice gpu;
+    meta::SketchApplier sketch = testutil::racyBindingSketch();
+    testutil::ScopedTempDir dir;
+    meta::TuneOptions options = racyOptions(2);
+    options.journal_path = dir.file("racy_journal.txt");
+    options.journal_label = "racy";
+    failpoint::ScopedFailpoints quiet("");
+    {
+        failpoint::ScopedFailpoints kill("search.checkpoint=throw@2");
+        EXPECT_THROW(
+            meta::evolutionarySearch(op.func, sketch, gpu, options),
+            failpoint::InjectedFault);
+    }
+    options.resume = true;
+    meta::TuneResult resumed =
         meta::evolutionarySearch(op.func, sketch, gpu, options);
+    EXPECT_EQ(resumed.generations_replayed, 2);
+    expectPinnedRacyResult(resumed);
+}
 
-    EXPECT_GT(result.timeout_filtered, 0)
-        << "every candidate beat a 20 ms budget despite a 30 ms sleep";
-    EXPECT_GT(result.timings.watchdog_overruns, 0);
-    EXPECT_EQ(result.timings.watchdog_timeout_s, 0.02);
-    EXPECT_TRUE(std::isfinite(result.best_latency_us));
-    EXPECT_EQ(result.history.size(),
-              static_cast<size_t>(options.generations) + 1);
+TEST(ParallelSearchTest, RacySketchAnalyzesEachStructureOnce)
+{
+    // Static analysis runs once per distinct structure, in the evaluate
+    // stage; every later sighting, racy or clean, takes the verdict the
+    // memo recorded — also when pool workers evaluate concurrently.
+    workloads::OpSpec op = workloads::gmm(32, 32, 32);
+    hwsim::GpuDevice gpu;
+    testutil::ScopedTempDir dir;
+    failpoint::ScopedFailpoints quiet("");
+    trace::SessionGuard session(dir.file("trace.json"));
+    ASSERT_TRUE(session.owns());
+    meta::evolutionarySearch(op.func, testutil::racyBindingSketch(), gpu,
+                             racyOptions(4));
+    EXPECT_EQ(summaryValue(trace::summaryText(), "analysis.analyze_func"),
+              3);
 }
 
 TEST(ParallelSearchTest, CostModelFallbackKeepsSearchAlive)

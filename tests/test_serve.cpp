@@ -3,8 +3,8 @@
  * The schedule-serving layer: sharded database thread-safety, the
  * mutex-free hot cache, single-flight miss coalescing, checkpoint
  * streaming, and the clean-shutdown contract. The concurrency suites
- * here (ServeDatabase*, HotCache*, ScheduleServer*) also run under the
- * TSan CI configuration.
+ * here (ServeDatabase*, HotCache*, PendingTune*, ScheduleServer*) also
+ * run under the TSan CI configuration.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <latch>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -252,6 +253,40 @@ TEST(HotCacheTest, ConcurrentGetsAgainstPuts)
     for (auto& th : readers) th.join();
     writer.join();
     EXPECT_EQ(inconsistent.load(), 0);
+}
+
+TEST(PendingTuneTest, KeepsTheFastestPublishedRecord)
+{
+    // autoTune's loop-sketch search announces its own best-so-far after
+    // the tensor-sketch search has announced a faster one; the handle
+    // must keep serving the faster record, to a client already waiting
+    // and to every later one.
+    serve::PendingTune pending;
+    meta::TuneRecord tensor = makeRecord(7, 16.0);
+    meta::TuneRecord loop = makeRecord(7, 19.9);
+    loop.sketch = "loop";
+    std::optional<meta::TuneRecord> waited;
+    std::thread waiter(
+        [&] { waited = pending.waitFirst(std::chrono::seconds(60)); });
+    pending.publish(tensor);
+    pending.publish(loop);
+    waiter.join();
+    ASSERT_TRUE(waited.has_value());
+    EXPECT_EQ(waited->latency_us, 16.0);
+    ASSERT_TRUE(pending.best().has_value());
+    EXPECT_EQ(pending.best()->latency_us, 16.0);
+    EXPECT_EQ(pending.waitFirst(std::chrono::milliseconds(0))->latency_us,
+              16.0);
+
+    // Of equally fast records the first stays; every publish counts.
+    meta::TuneRecord tie = makeRecord(7, 16.0);
+    tie.sketch = "loop";
+    pending.publish(tie);
+    EXPECT_EQ(pending.best()->sketch, "tensor");
+    EXPECT_EQ(pending.updates(), 3);
+    pending.finish(/*ok=*/true);
+    EXPECT_EQ(pending.waitFinal(std::chrono::milliseconds(0))->latency_us,
+              16.0);
 }
 
 TEST(ScheduleServerTest, ServesSeededRecordAsFinalHit)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared test helpers: build common workloads, check that a transformed
- * function computes the same values as the original, and scope an
- * environment variable or a temporary directory.
+ * Shared test helpers: build common workloads and sketches, check that
+ * a transformed function computes the same values as the original, and
+ * scope an environment variable or a temporary directory.
  */
 #ifndef TENSORIR_TESTS_TEST_UTIL_H
 #define TENSORIR_TESTS_TEST_UTIL_H
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "meta/sketch.h"
 #include "runtime/vm.h"
 #include "te/te.h"
 
@@ -128,6 +129,24 @@ matmulRelu(int64_t n, int64_t m, int64_t k)
             return maxExpr(bufferLoad(c, {v[0], v[1]}), floatImm(0.0));
         });
     return builder.build("matmul_relu", {d});
+}
+
+/**
+ * A sketch family for the 32x32x32 GMM (workloads::gmm) where one
+ * categorical decision picks the loop of block "C" to bind to
+ * threadIdx.x: the reduction choice races (static analysis filters and
+ * counts it), the two spatial choices are clean. Three distinct
+ * structures in all.
+ */
+inline meta::SketchApplier
+racyBindingSketch()
+{
+    return [](Schedule& sch) {
+        std::vector<Var> loops = sch.getLoops("C");
+        int64_t choice =
+            sch.sampleCategorical({0, 1, 2}, {1.0, 1.0, 1.0});
+        sch.bind(loops[static_cast<size_t>(choice)], "threadIdx.x");
+    };
 }
 
 /**
