@@ -12,7 +12,6 @@
 #include "hwsim/device.h"
 #include "meta/search.h"
 #include "runtime/jit.h"
-#include "runtime/vm.h"
 #include "te/te.h"
 #include "tir/schedule.h"
 #include "workloads/workloads.h"
@@ -109,13 +108,13 @@ BM_FeatureExtraction(benchmark::State& state)
 }
 BENCHMARK(BM_FeatureExtraction);
 
-// --- Numeric execution: bytecode VM vs tree-walking oracle ------------
+// --- Numeric execution: tree-walking oracle vs native code -------------
 //
 // The search's numeric spot-check (TuneOptions::numeric_check_topk)
 // re-executes a candidate and compares it against a reference run; the
 // validation flow below reproduces that cost on a Table 1 matmul. The
-// VM case is the default runtime::execute engine, the tree-walk case
-// is the TENSORIR_ENGINE=treewalk oracle.
+// tuner runs it on the tree-walker; the Jit cases below give the same
+// round on native code for comparison.
 
 std::vector<runtime::NDArray>
 numericArgs(const PrimFunc& func, uint64_t seed)
@@ -161,58 +160,7 @@ BM_NumericValidationTreeWalk(benchmark::State& state)
 }
 BENCHMARK(BM_NumericValidationTreeWalk)->Unit(benchmark::kMillisecond);
 
-/** The same validation round on the bytecode VM. */
-void
-BM_NumericValidationVm(benchmark::State& state)
-{
-    PrimFunc func = numericMatmul();
-    runtime::CompiledFunc compiled = runtime::compile(func);
-    for (auto _ : state) {
-        std::vector<runtime::NDArray> cand = numericArgs(func, 5);
-        std::vector<runtime::NDArray> ref = numericArgs(func, 5);
-        std::vector<runtime::NDArray*> cand_ptrs = numericPtrs(cand);
-        std::vector<runtime::NDArray*> ref_ptrs = numericPtrs(ref);
-        runtime::VirtualMachine vm;
-        vm.run(compiled, cand_ptrs);
-        vm.run(compiled, ref_ptrs);
-        double diff = 0;
-        for (size_t i = 0; i < cand.size(); ++i) {
-            diff = std::max(diff, cand[i].maxAbsDiff(ref[i]));
-        }
-        benchmark::DoNotOptimize(diff);
-    }
-}
-BENCHMARK(BM_NumericValidationVm)->Unit(benchmark::kMillisecond);
-
-/** One-pass bytecode compilation cost on its own. */
-void
-BM_VmCompile(benchmark::State& state)
-{
-    PrimFunc func = numericMatmul();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runtime::compile(func));
-    }
-}
-BENCHMARK(BM_VmCompile);
-
-/** Per-workload execution across the Table 1 small suite. */
-void
-BM_VmTable1Execution(benchmark::State& state)
-{
-    std::vector<workloads::OpSpec> suite = workloads::gpuSuiteSmall();
-    const workloads::OpSpec& spec =
-        suite[static_cast<size_t>(state.range(0))];
-    runtime::CompiledFunc compiled = runtime::compile(spec.func);
-    std::vector<runtime::NDArray> args = numericArgs(spec.func, 5);
-    std::vector<runtime::NDArray*> arg_ptrs = numericPtrs(args);
-    for (auto _ : state) {
-        runtime::VirtualMachine vm;
-        vm.run(compiled, arg_ptrs);
-    }
-    state.SetLabel(spec.name);
-}
-BENCHMARK(BM_VmTable1Execution)->DenseRange(0, 7);
-
+/** Per-workload tree-walker execution across the Table 1 small suite. */
 void
 BM_TreeWalkTable1Execution(benchmark::State& state)
 {
@@ -231,9 +179,9 @@ BENCHMARK(BM_TreeWalkTable1Execution)->DenseRange(0, 7);
 
 // --- Native JIT tier (see docs/EXECUTION.md) --------------------------
 
-/** The same validation round as BM_NumericValidationVm, on native
- *  code. The module is compiled once outside the loop, the way the
- *  tuner's numeric check holds it across candidates. */
+/** The same validation round as BM_NumericValidationTreeWalk, on
+ *  native code. The module is compiled once outside the loop, the way
+ *  a repeated caller would hold it. */
 void
 BM_NumericValidationJit(benchmark::State& state)
 {
@@ -285,7 +233,7 @@ BM_JitCompile(benchmark::State& state)
 BENCHMARK(BM_JitCompile)->Unit(benchmark::kMillisecond);
 
 /** Per-workload native execution across the Table 1 small suite —
- *  the JIT row matching BM_VmTable1Execution / BM_TreeWalkTable1Execution. */
+ *  the JIT row matching BM_TreeWalkTable1Execution. */
 void
 BM_JitTable1Execution(benchmark::State& state)
 {

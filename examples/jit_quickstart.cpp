@@ -3,9 +3,9 @@
  * The native execution tier end to end: schedule a matmul, JIT-compile
  * it (C codegen -> system compiler -> dlopen), verify the native run
  * against the tree-walking oracle bit for bit, and print measured
- * wall-clock for all three engines — tree-walker, bytecode VM, native
- * — on the same inputs. The engine contract behind this example is
- * documented in docs/EXECUTION.md.
+ * wall-clock for both engines — tree-walker and native — on the same
+ * inputs. The engine contract behind this example is documented in
+ * docs/EXECUTION.md.
  */
 #include <chrono>
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "runtime/jit.h"
-#include "runtime/vm.h"
 #include "te/te.h"
 #include "tir/schedule.h"
 
@@ -86,8 +85,8 @@ main()
     PrimFunc func = sch.func();
 
     if (!runtime::jitAvailable()) {
-        std::printf("no working C compiler (set TENSORIR_CC); the JIT "
-                    "tier would fall back to the VM here\n");
+        std::printf("no working C compiler (set TENSORIR_CC); only "
+                    "the tree-walker can run here\n");
         return 0;
     }
 
@@ -121,22 +120,16 @@ main()
     if (diff != 0.0) return 1;
 
     // Wall-clock, same inputs, one engine at a time. The compiled
-    // artifacts are reused across repeats, as a repeated caller (the
-    // tuner's numeric check) would hold them.
-    runtime::CompiledFunc compiled = runtime::compile(func);
-    runtime::VirtualMachine vm;
+    // module is reused across repeats, as a repeated caller (a
+    // benchmark loop) would hold it.
     double tw_s = secondsOf(1, [&] {
         runtime::Interpreter i2;
         i2.run(func, jit_ptrs);
     });
-    double vm_s = secondsOf(5, [&] { vm.run(compiled, jit_ptrs); });
     double jit_s = secondsOf(50, [&] { mod->run(jit_ptrs); });
 
     std::printf("tree-walker: %9.3f ms\n", tw_s * 1e3);
-    std::printf("bytecode VM: %9.3f ms  (%.1fx vs oracle)\n",
-                vm_s * 1e3, tw_s / vm_s);
-    std::printf("native JIT : %9.3f ms  (%.1fx vs VM, %.0fx vs "
-                "oracle)\n",
-                jit_s * 1e3, vm_s / jit_s, tw_s / jit_s);
+    std::printf("native JIT : %9.3f ms  (%.0fx vs oracle)\n",
+                jit_s * 1e3, tw_s / jit_s);
     return 0;
 }

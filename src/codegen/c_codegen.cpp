@@ -33,17 +33,16 @@ intrinForCall(const std::string& op)
 
 /**
  * The C emitter, built for the native execution tier (runtime/jit.h)
- * as a *semantic clone* of the interpreter/VM: every buffer is the
- * runtime's raw
- * `double*` storage, index/predicate arithmetic happens in int64 with
- * floor division semantics, value arithmetic happens in double, and
- * domain crossings (loads in int context, casts, stores of int values)
- * use exactly the conversions `Interpreter::evalInt` / `evalValue`
- * apply. Fuel is charged at every statement head — the same accounting
- * points as `Interpreter::exec` and the VM's kStep — except that the
+ * as a *semantic clone* of the interpreter: every buffer is the
+ * runtime's raw `double*` storage, index/predicate arithmetic happens
+ * in int64 with floor division semantics, value arithmetic happens in
+ * double, and domain crossings (loads in int context, casts, stores of
+ * int values) use exactly the conversions `Interpreter::evalInt` /
+ * `evalValue` apply. Fuel is charged at every statement head — the
+ * same accounting points as `Interpreter::exec` — except that the
  * native tier executes the *lowered* statement stream, so absolute
- * step counts differ from the other engines (documented in
- * docs/EXECUTION.md).
+ * step counts differ from the interpreter's on a function that still
+ * has blocks (documented in docs/EXECUTION.md).
  */
 class JitEmitter
 {
@@ -73,7 +72,7 @@ class JitEmitter
         // Min/max mirror std::min/std::max operand selection exactly
         // (returns the first operand on ties and on unordered NaN
         // comparisons), so the native tier picks the same NaN payloads
-        // the other engines do.
+        // the interpreter does.
         os << "static inline int64_t tir_imin(int64_t a, int64_t b) "
               "{ return b < a ? b : a; }\n";
         os << "static inline int64_t tir_imax(int64_t a, int64_t b) "
@@ -297,7 +296,7 @@ class JitEmitter
           case ExprKind::kCall: {
             const auto& n = static_cast<const CallNode&>(*expr);
             // Double-precision libm, the same calls the interpreter
-            // and the VM make.
+            // makes.
             static const std::map<std::string, std::string> pure = {
                 {"exp", "exp"},   {"sqrt", "sqrt"}, {"tanh", "tanh"},
                 {"erf", "erf"},   {"log", "log"},   {"abs", "fabs"},
@@ -415,7 +414,7 @@ class JitEmitter
           case StmtKind::kBufferStore: {
             const auto& n = static_cast<const BufferStoreNode&>(*s);
             // Int-typed values are computed in the integer domain and
-            // widened on store, exactly like the VM's ItoF-then-StoreF.
+            // widened on store, exactly like Interpreter::exec.
             std::string value =
                 n.value->dtype.isFloat()
                     ? emitValue(n.value)

@@ -6,11 +6,11 @@
  * native execution tier (runtime/jit.h). Every buffer is a `double*`
  * over the runtime's NDArray storage and all arithmetic happens in the
  * interpreter's two evaluation domains (int64 indices, double values),
- * so a compiled kernel reproduces the tree-walker/VM results on the
+ * so a compiled kernel reproduces the tree-walker's results on the
  * same inputs (see docs/EXECUTION.md for the exact parity contract).
- * The emitted entry point also carries the engines' fuel accounting.
- * `emitStandaloneC` wraps the same translation unit in a `main()` for
- * the compile-and-run example and tests.
+ * The emitted entry point also carries the interpreter's fuel
+ * accounting. `emitStandaloneC` wraps the same translation unit in a
+ * `main()` for the compile-and-run example and tests.
  */
 #ifndef TENSORIR_CODEGEN_C_CODEGEN_H
 #define TENSORIR_CODEGEN_C_CODEGEN_H
@@ -45,12 +45,13 @@ struct JitSource
      *  `int64_t entry(double** bufs, int64_t step_limit)` — `bufs[i]`
      *  is the storage of `buffers[i]`; returns 0 on completion and 1
      *  when `step_limit` (> 0) statements were exceeded, leaving
-     *  partial results behind exactly like the VM's fuel abort. */
+     *  partial results behind exactly like the interpreter's fuel
+     *  abort. */
     std::string entry_symbol;
     /** Buffer slot table: function parameters first (in signature
      *  order), then every intermediate buffer the lowered body
      *  references, in first-touch order. The runtime allocates the
-     *  intermediates zero-filled per run, as the VM does. */
+     *  intermediates zero-filled per run. */
     std::vector<Buffer> buffers;
     /** Number of leading entries of `buffers` that are parameters. */
     size_t num_params = 0;
@@ -61,14 +62,14 @@ struct JitSource
  * first). All storage is `double` and arithmetic mirrors the
  * interpreter's evaluation domains — int64 for indices/predicates with
  * floor division semantics, double for stored values — so the compiled
- * kernel matches the tree-walker and the VM on the same inputs (bit
- * for bit in practice on one libm; docs/EXECUTION.md documents the
- * tolerance contract). Fuel is charged at every statement head, the
- * same accounting points as Interpreter::exec and the VM's kStep.
+ * kernel matches the tree-walker on the same inputs (bit for bit in
+ * practice on one libm; docs/EXECUTION.md documents the tolerance
+ * contract). Fuel is charged at every statement head, the same
+ * accounting points as Interpreter::exec.
  *
  * Raises FatalError on constructs the native tier cannot execute (GPU
  * thread bindings, intrinsic calls with no TensorIntrin registration);
- * the JIT engine catches that and falls back to the VM.
+ * the JIT tier catches that and jitCompile returns nullptr.
  */
 JitSource emitJitC(const PrimFunc& func);
 

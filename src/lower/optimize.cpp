@@ -7,7 +7,7 @@
  * liveness — and this file only performs the mechanical rewrite,
  * mapping analysis results back onto AST nodes through the statement
  * pointers the access extractor records. Correctness is pinned by the
- * three-engine differential parity suite (tests/test_dataflow.cpp):
+ * engine differential parity suite (tests/test_dataflow.cpp):
  * optimized and unoptimized lowerings must agree bit-exactly.
  */
 #include "lower/lower.h"
@@ -110,8 +110,8 @@ stripStmts(const PrimFunc& func, std::set<const StmtNode*> kill,
     *removed = stripper.removed;
     if (stripper.removed == 0) return func;
     // A function whose whole body was stripped computes nothing; keep
-    // one storage_sync — the statement every engine (interpreter, VM,
-    // JIT codegen) executes as a no-op — as the body placeholder.
+    // one storage_sync — the statement both engines (interpreter, JIT
+    // codegen) execute as a no-op — as the body placeholder.
     if (!body) body = storageSync();
     return makeFunc(func->name, func->params, std::move(body),
                     func->attrs);

@@ -46,7 +46,7 @@ readBitsList(std::istream& is, std::vector<double>* out)
 /** Format tag of the identity line; bump it whenever a record's layout
  *  or the identity's field set changes, so older journals never match
  *  and their searches start fresh. */
-constexpr const char* kFormatTag = "v4";
+constexpr const char* kFormatTag = "v5";
 
 std::string
 generationBody(const JournalGeneration& g)
@@ -217,7 +217,7 @@ journalIdentity(uint64_t workload_hash, const TuneOptions& options)
        // decides which candidates survive.
        << options.lint_filter << " " << options.numeric_check_topk << " "
        << doubleBitsHex(options.numeric_check_tolerance) << " "
-       << token(options.engine) << " " << options.eval_step_limit;
+       << options.eval_step_limit;
     return os.str();
 }
 

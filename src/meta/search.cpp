@@ -5,8 +5,7 @@
 #include "meta/journal.h"
 #include "meta/measure.h"
 #include "meta/memo.h"
-#include "runtime/jit.h"
-#include "runtime/vm.h"
+#include "runtime/interpreter.h"
 #include "support/env.h"
 #include "support/failpoint.h"
 #include "support/thread_pool.h"
@@ -411,22 +410,6 @@ mutate(const std::vector<Decision>& decisions, Rng& rng)
     return result;
 }
 
-/** Resolve TuneOptions::engine into the override ScopedEngine installs
- *  for the duration of a tune: the ambient override when the option is
- *  empty, otherwise the named engine (FatalError on a name that is not
- *  treewalk/vm/jit — a typo must not silently change engines). */
-std::optional<runtime::Engine>
-resolveEngineOption(const TuneOptions& options)
-{
-    if (options.engine.empty()) return runtime::engineOverride();
-    std::optional<runtime::Engine> parsed =
-        runtime::parseEngineName(options.engine);
-    TIR_CHECK(parsed.has_value())
-        << "TuneOptions::engine \"" << options.engine
-        << "\" is not an engine name (expected treewalk, vm or jit)";
-    return parsed;
-}
-
 /**
  * One evolutionary search (§4.4), written as the stages every batch of
  * candidates flows through — each round of the initial population and
@@ -495,9 +478,9 @@ class Search
     std::optional<JournalWriter> journal_;
     size_t journal_samples_flushed_ = 0;
     std::vector<uint64_t> journal_dirty_memo_;
-    // Numeric spot-check oracle (runtime/vm.h), built on first use:
-    // seeded inputs plus the unscheduled workload's outputs from the
-    // tree-walking reference interpreter.
+    // Numeric spot-check oracle, built on first use: seeded inputs
+    // plus the unscheduled workload's outputs from the tree-walking
+    // reference interpreter (runtime/interpreter.h).
     std::vector<runtime::NDArray> oracle_inputs_;
     std::vector<runtime::NDArray> oracle_outputs_;
     int oracle_state_ = 0; // 0 = unbuilt, 1 = ready, -1 = unavailable
@@ -953,8 +936,7 @@ Search::commitMeasurement(const Candidate& cand)
 
 /** Build the numeric spot-check oracle on first use; false when the
  *  workload itself cannot be executed. Checked candidates re-run on
- *  copies of the same inputs through runtime::execute (the engine
- *  TuneOptions::engine or TENSORIR_ENGINE selects) and must agree
+ *  copies of the same inputs, on the same tree-walker, and must agree
  *  within numeric_check_tolerance. */
 bool
 Search::ensureOracle()
@@ -1002,7 +984,7 @@ Search::numericCheck(const Candidate& cand)
         std::vector<runtime::NDArray> args = oracle_inputs_;
         std::vector<runtime::NDArray*> arg_ptrs;
         for (runtime::NDArray& a : args) arg_ptrs.push_back(&a);
-        runtime::execute(cand.func, arg_ptrs);
+        runtime::Interpreter().run(cand.func, arg_ptrs);
         for (size_t i = 0; i < args.size(); ++i) {
             double diff = args[i].maxAbsDiff(oracle_outputs_[i]);
             // NaN-propagating comparison: a NaN diff is a mismatch.
@@ -1173,9 +1155,6 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     // pathological candidate aborts with a structured EvalError (a
     // contained runtime reject) instead of hanging the session.
     runtime::ScopedStepLimit step_limit(options.eval_step_limit);
-    // Numeric engine for every runtime::execute under this search (the
-    // numeric spot-checks); "" inherits the ambient selection.
-    runtime::ScopedEngine engine_scope(resolveEngineOption(options));
     return Search(workload, sketch, device, options).run();
 }
 
@@ -1210,9 +1189,6 @@ autoTune(const TuneTask& task, const hwsim::DeviceModel& device,
     trace::SessionGuard trace_session(options.trace_path);
     trace::Span tune_span("meta.auto_tune",
                           trace::arg("workload", task.func->name));
-    // A malformed engine name fails the tune even when a database
-    // record would skip the search (which installs the engine scope).
-    resolveEngineOption(options);
     // A fresh (non-resumed) session starts its journal from scratch;
     // a resumed one must keep the records it is about to replay.
     if (!options.journal_path.empty() && !options.resume) {

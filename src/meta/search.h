@@ -158,12 +158,11 @@ struct TuneOptions
      * Numeric spot-check budget: when > 0, the first
      * `numeric_check_topk` candidates of each measurement set (the
      * initial population and every generation) are executed on seeded
-     * inputs through runtime::execute (the bytecode VM by default) and
-     * compared against a tree-walked reference run of the unscheduled
-     * workload. A per-element divergence beyond
-     * `numeric_check_tolerance` rejects the candidate — counted in
-     * TuneResult::numeric_filtered — before it is measured or admitted
-     * to the population. The check runs in the sequential measurement
+     * inputs on the tree-walking interpreter and compared against its
+     * reference run of the unscheduled workload. A per-element
+     * divergence beyond `numeric_check_tolerance` rejects the
+     * candidate — counted in TuneResult::numeric_filtered — before it
+     * is measured or admitted to the population. The check runs in the sequential measurement
      * fold, so the rejected set (and the whole TuneResult) stays
      * byte-identical for any `parallelism`. 0 (the default) disables
      * the check.
@@ -183,17 +182,6 @@ struct TuneOptions
     /** Maximum per-element |candidate - reference| the numeric
      *  spot-check tolerates. */
     double numeric_check_tolerance = 1e-4;
-    /**
-     * Numeric execution engine for candidate evaluation ("" inherits
-     * the process-wide selection; "treewalk", "vm" or "jit" install a
-     * runtime::ScopedEngine for the duration of the tune — see
-     * docs/EXECUTION.md for the selection contract). "jit" makes
-     * `numeric_check_topk` cheap enough to run on every measured
-     * candidate: each distinct kernel compiles to native code once and
-     * the per-run cost collapses to a function call. A malformed name
-     * raises FatalError up front. Set, it overrides TENSORIR_ENGINE.
-     */
-    std::string engine;
     /**
      * When non-empty, the search appends a crash-safe checkpoint
      * journal here (meta/journal.h): one checksummed record per

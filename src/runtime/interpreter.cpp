@@ -27,9 +27,10 @@ debugChecksOverride()
 }
 
 /** Explicit setDefaultStepLimit override; unset falls to the env.
- *  Thread-local for the same reason as the engine override (jit.cpp):
- *  concurrent tuning sessions install their fuel budgets per thread,
- *  and all execution of a session happens on its own thread. */
+ *  Thread-local: concurrent tuning sessions (the schedule server runs
+ *  background autoTune jobs in parallel) install their fuel budgets
+ *  per thread, and all execution of a session happens on its own
+ *  thread. */
 std::optional<uint64_t>&
 stepLimitOverride()
 {
@@ -61,14 +62,15 @@ registrySlot()
     return slot;
 }
 
-} // namespace
-
+/** The current immutable registry snapshot. */
 std::shared_ptr<const IntrinsicRegistry>
-Interpreter::intrinsicSnapshot()
+intrinsicSnapshot()
 {
     std::lock_guard<std::mutex> lock(registryMutex());
     return registrySlot();
 }
+
+} // namespace
 
 void
 Interpreter::registerIntrinsic(const std::string& name, IntrinsicImpl impl)

@@ -7,13 +7,12 @@
  * validation machinery (§3.3) provides.
  *
  * The tree-walking `Interpreter` is the *reference oracle*: simple enough
- * to audit, slow enough that it should not sit on a hot path. Production
- * numeric execution goes through `runtime::execute` (runtime/vm.h),
- * which picks the bytecode VM by default or the native JIT tier
- * (runtime/jit.h) on request; both preserve this interpreter's
- * observable contract (fuel limit -> EvalError, `interp.run` failpoint
- * site, debug analysis gate) and are differential-tested against it.
- * The full three-engine contract is documented in docs/EXECUTION.md.
+ * to audit, and the one engine behind every numeric result (test
+ * validation helpers, the tuner's `numeric_check_topk` spot checks).
+ * The native JIT tier (runtime/jit.h), which times real kernels,
+ * preserves this interpreter's observable contract (fuel limit ->
+ * EvalError, `interp.run` failpoint site, debug analysis gate) and is
+ * differential-tested against it; docs/EXECUTION.md has the contract.
  */
 #ifndef TENSORIR_RUNTIME_INTERPRETER_H
 #define TENSORIR_RUNTIME_INTERPRETER_H
@@ -55,12 +54,9 @@ struct BufferRef
 };
 
 /**
- * Execution context handed to opaque-intrinsic callbacks. Both engines —
- * the tree-walking Interpreter and the bytecode VM — implement it, so one
- * registered intrinsic semantics serves both. Callbacks may only query
- * the direct arguments of the call they were invoked for (the VM resolves
- * those ahead of time; arbitrary expressions have no runtime environment
- * there).
+ * Execution context handed to opaque-intrinsic callbacks; the
+ * tree-walking Interpreter implements it. Callbacks may only query the
+ * direct arguments of the call they were invoked for.
  */
 class ExecContext
 {
@@ -79,7 +75,7 @@ class ExecContext
 /** Semantics callback for an opaque intrinsic call. */
 using IntrinsicImpl = std::function<void(ExecContext&, const CallNode&)>;
 
-/** Immutable name -> semantics table (see Interpreter::intrinsicSnapshot). */
+/** Immutable name -> semantics table (see Interpreter::registerIntrinsic). */
 using IntrinsicRegistry = std::unordered_map<std::string, IntrinsicImpl>;
 
 /** Tree-walking evaluator for PrimFuncs (the reference oracle). */
@@ -126,16 +122,13 @@ class Interpreter final : public ExecContext
      * Register the runtime semantics of an opaque intrinsic. Thread-safe
      * against concurrent registration and concurrent execution:
      * registration builds a new immutable registry snapshot and publishes
-     * it atomically, so running interpreters/VMs keep reading the
-     * snapshot they started with.
+     * it atomically, so running interpreters keep reading the snapshot
+     * they started with.
      */
     static void registerIntrinsic(const std::string& name,
                                   IntrinsicImpl impl);
     /** Whether an intrinsic implementation is registered. */
     static bool hasIntrinsic(const std::string& name);
-    /** Current immutable registry snapshot (shared with the VM compiler,
-     *  which resolves intrinsic callbacks at compile time). */
-    static std::shared_ptr<const IntrinsicRegistry> intrinsicSnapshot();
 
     /** Force the pre-execution static memory analysis on or off for
      *  every subsequent run() (overrides the environment); nullopt
@@ -177,15 +170,14 @@ std::vector<NDArray> seededArguments(const PrimFunc& func, Rng& rng);
 
 /** Check `args` against `func`'s parameter buffers: count, and shape
  *  dimension by dimension (a 2x6 array must not bind to a 3x4 param).
- *  Shared by the tree-walker and the VM entry point. */
+ *  Shared by the tree-walker and the native tier (JitModule::run). */
 void validateArguments(const PrimFunc& func,
                        const std::vector<NDArray*>& args);
 
 /** RAII override of the default step limit (restores the previous
  *  default on destruction). The tuner installs one for the duration of
- *  evolutionarySearch from TuneOptions::eval_step_limit. Per-thread, like the
- *  engine override (runtime/jit.h): concurrent tuning sessions budget
- *  their fuel independently. */
+ *  evolutionarySearch from TuneOptions::eval_step_limit. Per-thread:
+ *  concurrent tuning sessions budget their fuel independently. */
 class ScopedStepLimit
 {
   public:

@@ -22,7 +22,6 @@
 #include <utility>
 
 #include "ir/structural_hash.h"
-#include "runtime/vm.h"
 #include "support/env.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
@@ -51,11 +50,11 @@ struct AtomicStats
     std::atomic<uint64_t> compile_failures{0};
     std::atomic<uint64_t> recompiles{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> vm_fallbacks{0};
 };
 
 /** Process-wide JIT state: module/failure caches, single-flight
- *  bookkeeping, per-compiler probe and identity caches. */
+ *  bookkeeping for compiles and probes, per-compiler probe and
+ *  identity caches. */
 struct JitState
 {
     std::mutex mu;
@@ -65,6 +64,7 @@ struct JitState
     std::unordered_set<uint64_t> failed;
     std::unordered_set<uint64_t> inflight;
     std::unordered_map<std::string, bool> probe;
+    std::unordered_set<std::string> probing;
     std::unordered_map<std::string, std::string> identity;
     AtomicStats stats;
 };
@@ -74,19 +74,6 @@ state()
 {
     static JitState* s = new JitState();
     return *s;
-}
-
-std::optional<Engine>&
-engineOverrideSlot()
-{
-    // Thread-local: a ScopedEngine installed by one tuning session
-    // must not leak into another running concurrently on a different
-    // thread (the schedule server runs background autoTune jobs in
-    // parallel). Every runtime::execute in a search happens on the
-    // thread that owns the session — the sequential measurement fold —
-    // so per-thread scoping is exactly per-session scoping.
-    static thread_local std::optional<Engine> value;
-    return value;
 }
 
 /** Shell-quote `s` for /bin/sh (single quotes, ' escaped). */
@@ -359,7 +346,11 @@ probeToolchain(const std::string& cc)
     fs::path dir = jitCacheDir();
     fs::create_directories(dir, ec);
     if (ec) return false;
-    std::string tag = std::to_string(static_cast<long>(::getpid()));
+    // Unique per call, not just per process: probes of different
+    // compiler paths may run at once.
+    static std::atomic<uint64_t> calls{0};
+    std::string tag = std::to_string(static_cast<long>(::getpid())) +
+                      "_" + std::to_string(calls.fetch_add(1));
     fs::path csrc = dir / ("probe_" + tag + ".c");
     fs::path so = dir / ("probe_" + tag + ".so");
     bool ok = false;
@@ -385,9 +376,9 @@ probeToolchain(const std::string& cc)
 }
 
 /** Emit, compile (or reuse the disk cache), dlopen, resolve the entry.
- *  nullptr on any failure — the caller records it and the engine falls
- *  back to the VM. Corrupt cached objects are deleted and recompiled
- *  once before giving up. */
+ *  nullptr on any failure — jitCompile records it so the key is not
+ *  built again. Corrupt cached objects are deleted and recompiled once
+ *  before giving up. */
 std::shared_ptr<const JitModule>
 buildModule(uint64_t key, const PrimFunc& func)
 {
@@ -472,54 +463,6 @@ buildModule(uint64_t key, const PrimFunc& func)
 
 } // namespace
 
-const char*
-engineName(Engine engine)
-{
-    switch (engine) {
-      case Engine::kTreeWalk: return "treewalk";
-      case Engine::kVm: return "vm";
-      case Engine::kJit: return "jit";
-    }
-    return "?";
-}
-
-std::optional<Engine>
-parseEngineName(const std::string& name)
-{
-    if (name == "treewalk") return Engine::kTreeWalk;
-    if (name == "vm") return Engine::kVm;
-    if (name == "jit") return Engine::kJit;
-    return std::nullopt;
-}
-
-Engine
-selectedEngine()
-{
-    if (engineOverrideSlot()) return *engineOverrideSlot();
-    const char* env = std::getenv("TENSORIR_ENGINE");
-    if (env && *env) {
-        std::optional<Engine> parsed = parseEngineName(env);
-        TIR_CHECK(parsed.has_value())
-            << "TENSORIR_ENGINE=\"" << env
-            << "\" is not an engine name (expected treewalk, vm or "
-               "jit)";
-        return *parsed;
-    }
-    return Engine::kVm;
-}
-
-void
-setEngine(std::optional<Engine> engine)
-{
-    engineOverrideSlot() = engine;
-}
-
-std::optional<Engine>
-engineOverride()
-{
-    return engineOverrideSlot();
-}
-
 JitModule::JitModule(PrimFunc func, codegen::JitSource source,
                      void* handle, std::string object_path)
     : func_(std::move(func)), buffers_(std::move(source.buffers)),
@@ -545,8 +488,8 @@ JitModule::run(const std::vector<NDArray*>& args,
 {
     validateArguments(func_, args);
     trace::Span span("jit.run", trace::arg("func", func_->name));
-    // Same failpoint site as the tree-walker and the VM so chaos
-    // schedules exercise all three engines identically.
+    // Same failpoint site as the tree-walker so chaos schedules
+    // exercise both execution paths identically.
     if (failpoint::inject("interp.run")) {
         throw EvalError("injected interpreter fault (failpoint "
                         "interp.run) in " +
@@ -638,29 +581,30 @@ jitAvailable()
 {
     std::string cc = compilerPath();
     JitState& st = state();
-    {
-        std::lock_guard<std::mutex> lk(st.mu);
+    std::unique_lock<std::mutex> lk(st.mu);
+    for (;;) {
         auto it = st.probe.find(cc);
         if (it != st.probe.end()) return it->second;
+        if (st.probing.insert(cc).second) break;
+        // Single-flight, like jitCompile: one probe per compiler path,
+        // whose verdict every concurrent first caller shares.
+        st.cv.wait(lk);
     }
-    bool ok = probeToolchain(cc);
-    std::lock_guard<std::mutex> lk(st.mu);
+    lk.unlock();
+    bool ok = false;
+    try {
+        ok = probeToolchain(cc);
+    } catch (...) {
+        lk.lock();
+        st.probing.erase(cc);
+        st.cv.notify_all();
+        throw;
+    }
+    lk.lock();
     st.probe.emplace(cc, ok);
+    st.probing.erase(cc);
+    st.cv.notify_all();
     return ok;
-}
-
-bool
-jitTryRun(const PrimFunc& func, const std::vector<NDArray*>& args)
-{
-    std::shared_ptr<const JitModule> mod = jitCompile(func);
-    if (!mod) {
-        state().stats.vm_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-        trace::counterAdd("jit.fallback", 1);
-        return false;
-    }
-    mod->run(args);
-    return true;
 }
 
 JitStats
@@ -675,7 +619,6 @@ jitStats()
         s.compile_failures.load(std::memory_order_relaxed);
     out.recompiles = s.recompiles.load(std::memory_order_relaxed);
     out.evictions = s.evictions.load(std::memory_order_relaxed);
-    out.vm_fallbacks = s.vm_fallbacks.load(std::memory_order_relaxed);
     return out;
 }
 
@@ -717,7 +660,6 @@ jitResetForTesting()
     st.stats.compile_failures = 0;
     st.stats.recompiles = 0;
     st.stats.evictions = 0;
-    st.stats.vm_fallbacks = 0;
 }
 
 } // namespace runtime

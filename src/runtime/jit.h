@@ -2,16 +2,18 @@
  * @file
  * Native JIT execution tier: C codegen -> system compiler -> dlopen.
  *
- * The third engine behind `runtime::execute`. For a lowered PrimFunc it
- * emits a C translation unit (codegen::emitJitC), shells out to the
- * system compiler (`cc`, overridable with TENSORIR_CC), dlopens the
- * resulting shared object and calls the exported entry point directly
- * over the NDArray storage. Compiled objects are cached twice:
+ * The tier that times real kernels (TuneOptions::measure_backend
+ * "jit", benchmark loops); numeric results come from the tree-walking
+ * Interpreter, which native code is differential-tested against. For a
+ * lowered PrimFunc the tier emits a C translation unit
+ * (codegen::emitJitC), shells out to the system compiler (`cc`,
+ * overridable with TENSORIR_CC), dlopens the resulting shared object
+ * and calls the exported entry point directly over the NDArray
+ * storage. Compiled objects are cached twice:
  *
  *  - **In memory**: one dlopened JitModule per structural key for the
- *    life of the process, so repeated `execute` calls on the same
- *    function (the tuner's numeric checks, benchmark loops) pay the
- *    compiler exactly once.
+ *    life of the process, so repeated jitCompile calls on the same
+ *    function pay the compiler exactly once.
  *  - **On disk**: `.so` files under jitCacheDir() (TENSORIR_JIT_CACHE,
  *    default /tmp/tensorir-jit-cache-<uid>), keyed by structural hash
  *    mixed with compiler identity, flags, and the emitter version —
@@ -25,14 +27,14 @@
  * lock file serialises compilations of the same key across processes,
  * so concurrent tuning workers compile each kernel once.
  *
- * The tier preserves the engine contract documented in
- * docs/EXECUTION.md: argument validation, EvalError on fuel
+ * The tier preserves the tree-walking interpreter's contract documented
+ * in docs/EXECUTION.md: argument validation, EvalError on fuel
  * exhaustion, the `interp.run` failpoint site, the debug-checks gate,
  * and a trace span per run. Anything that prevents native execution —
  * no toolchain, compiler failure (failpoint `jit.compile`), dlopen
  * failure (failpoint `jit.dlopen`), unsupported constructs — degrades
- * gracefully: jitCompile returns nullptr and `execute` falls back to
- * the bytecode VM.
+ * gracefully: jitCompile returns nullptr and the caller keeps its
+ * fallback (the measurement backend serves the analytical estimate).
  */
 #ifndef TENSORIR_RUNTIME_JIT_H
 #define TENSORIR_RUNTIME_JIT_H
@@ -47,62 +49,6 @@
 
 namespace tir {
 namespace runtime {
-
-/** The three numeric execution engines behind runtime::execute. */
-enum class Engine
-{
-    kTreeWalk, ///< tree-walking Interpreter (the reference oracle)
-    kVm,       ///< bytecode VirtualMachine (the default)
-    kJit       ///< native code via the C backend (falls back to kVm)
-};
-
-/** Stable lower-case name of an engine ("treewalk", "vm", "jit"). */
-const char* engineName(Engine engine);
-
-/** Parse an engine name as accepted by TENSORIR_ENGINE; nullopt for
- *  anything that is not exactly "treewalk", "vm" or "jit". */
-std::optional<Engine> parseEngineName(const std::string& name);
-
-/**
- * The engine `execute` will use next, resolved in priority order:
- *  1. an explicit setEngine()/ScopedEngine override (the tuner installs
- *     one from TuneOptions::engine);
- *  2. the TENSORIR_ENGINE environment variable (FatalError on names
- *     other than treewalk/vm/jit — a typo must not silently fall back);
- *  3. the default: the bytecode VM.
- * Note kJit means "attempt native execution": per-function compile
- * failures still degrade to the VM at run time.
- */
-Engine selectedEngine();
-
-/** Per-thread engine override (std::nullopt returns to the
- *  environment). The tuner installs one from TuneOptions::engine.
- *  Thread-local so concurrent tuning sessions — the schedule server
- *  runs background autoTune jobs on pool workers — select engines
- *  independently; install it on the thread that executes. */
-void setEngine(std::optional<Engine> engine);
-
-/** Current value of the setEngine override (not the resolved engine —
- *  see selectedEngine for the full priority order). */
-std::optional<Engine> engineOverride();
-
-/** RAII engine override: installs `engine` (or clears the override
- *  with nullopt), restores the previous override on destruction. */
-class ScopedEngine
-{
-  public:
-    explicit ScopedEngine(std::optional<Engine> engine)
-        : saved_(engineOverride())
-    {
-        setEngine(engine);
-    }
-    ~ScopedEngine() { setEngine(saved_); }
-    ScopedEngine(const ScopedEngine&) = delete;
-    ScopedEngine& operator=(const ScopedEngine&) = delete;
-
-  private:
-    std::optional<Engine> saved_;
-};
 
 /**
  * A compiled-and-loaded native kernel. Holds the dlopen handle for its
@@ -123,14 +69,13 @@ class JitModule
 
     /**
      * Execute natively with `args` bound to the function parameters in
-     * order. Same observable contract as Interpreter::run and
-     * VirtualMachine::run: per-dimension argument validation, the
-     * `interp.run` failpoint site, the TENSORIR_DEBUG_CHECKS analysis
-     * gate, a `jit.run` trace span, and EvalError when the statement
-     * budget runs out (`step_limit` overrides
-     * Interpreter::defaultStepLimit; 0 = unlimited). Fuel is charged
-     * on the *lowered* statement stream — see docs/EXECUTION.md for
-     * how that compares to the other engines.
+     * order. Same observable contract as Interpreter::run:
+     * per-dimension argument validation, the `interp.run` failpoint
+     * site, the TENSORIR_DEBUG_CHECKS analysis gate, a `jit.run` trace
+     * span, and EvalError when the statement budget runs out
+     * (`step_limit` overrides Interpreter::defaultStepLimit; 0 =
+     * unlimited). Fuel is charged on the *lowered* statement stream —
+     * see docs/EXECUTION.md for how that compares to the tree-walker.
      */
     void run(const std::vector<NDArray*>& args,
              std::optional<uint64_t> step_limit = std::nullopt) const;
@@ -167,22 +112,18 @@ class JitModule
  * cache, then the on-disk `.so` cache, then the system compiler.
  * Returns nullptr when native execution is not possible — missing
  * toolchain, compiler/dlopen failure, or a construct the C backend
- * cannot express — in which case the caller should use the VM.
+ * cannot express.
  * Failures are cached per key (cleared by jitResetForTesting), so a
- * broken kernel does not re-invoke the compiler on every execute.
+ * broken kernel does not re-invoke the compiler on every request.
  * Thread-safe; concurrent calls for one function compile it once.
  */
 std::shared_ptr<const JitModule> jitCompile(const PrimFunc& func);
 
 /** Whether the configured compiler can produce a loadable shared
- *  object (probed once per compiler path with a trivial TU; cached). */
+ *  object: the toolchain probe, which compiles, loads and calls a
+ *  trivial TU once per compiler path and caches the verdict.
+ *  Concurrent first calls share one probe. */
 bool jitAvailable();
-
-/** Run `func` natively if possible. Returns false — after recording a
- *  `jit.fallback` trace counter — when no module could be built; the
- *  caller (runtime::execute) then runs the VM. Execution errors
- *  (EvalError, injected faults) propagate, they are not fallbacks. */
-bool jitTryRun(const PrimFunc& func, const std::vector<NDArray*>& args);
 
 /** Monotonic counters describing cache effectiveness since process
  *  start (or the last jitResetForTesting). */
@@ -194,7 +135,6 @@ struct JitStats
     uint64_t compile_failures = 0; ///< compiler invocations that failed
     uint64_t recompiles = 0;       ///< corrupt/stale .so recoveries
     uint64_t evictions = 0;        ///< .so files evicted for size
-    uint64_t vm_fallbacks = 0;     ///< jitTryRun handed off to the VM
 };
 JitStats jitStats();
 

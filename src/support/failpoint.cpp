@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -116,7 +117,10 @@ parseAction(const std::string& text, SiteConfig& config)
         if (comma != std::string::npos) {
             std::string arg_text = params.substr(comma + 1);
             config.arg = std::strtod(arg_text.c_str(), &end);
-            TIR_CHECK(end && *end == '\0' && config.arg >= 0)
+            // Bounded so a delay converts to a duration and a corrupt
+            // count to an int without overflow (inf would be UB).
+            TIR_CHECK(end && *end == '\0' && config.arg >= 0 &&
+                      config.arg <= std::numeric_limits<int>::max())
                 << "failpoint spec: bad argument in '" << text << "'";
         }
     }

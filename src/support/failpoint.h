@@ -21,11 +21,11 @@
  *     action  := kind [ '(' p [',' arg] ')' ] [ '@' skip ]
  *     kind    := 'throw' | 'error' | 'delay' | 'corrupt'
  *
- * `p` is the trigger probability in [0, 1] (default 1). `arg` is the
- * delay in milliseconds for `delay` (default 10) and the number of
- * bytes to flip for `corrupt` (default 1). `@skip` suppresses the
- * first `skip` evaluations of a counter-keyed site — the tool behind
- * "crash exactly at the N-th checkpoint" tests.
+ * `p` is the trigger probability in [0, 1] (default 1). `arg`, in
+ * [0, INT_MAX], is the delay in milliseconds for `delay` (default 10)
+ * and the number of bytes to flip for `corrupt` (default 1). `@skip`
+ * suppresses the first `skip` evaluations of a counter-keyed site —
+ * the tool behind "crash exactly at the N-th checkpoint" tests.
  *
  * Determinism: whether evaluation `i` of a site fires is a pure
  * function of (schedule seed, site name, i). Counter-keyed sites use a

@@ -4,9 +4,9 @@
  * analysis-driven lowering passes built on it (lower/optimize.cpp):
  * the three lints (TIR-L001/L002/L003), dead-store and barrier-elision
  * semantics, the insertStorageSync + elideRedundantSync round-trip
- * property over randomly staged Table 1 schedules, three-engine
- * differential parity of optimized vs unoptimized lowerings, and the
- * shared analysis-report cache identity.
+ * property over randomly staged Table 1 schedules, and tree-walker
+ * and native differential parity of optimized vs unoptimized
+ * lowerings.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "meta/search.h"
 #include "runtime/interpreter.h"
 #include "runtime/jit.h"
-#include "runtime/vm.h"
 #include "tir/analysis/dataflow.h"
 #include "tir/schedule.h"
 #include "workloads/workloads.h"
@@ -435,14 +434,14 @@ TEST(OptimizePassTest, ElisionRemovesRedundantBarrier)
     EXPECT_EQ(countSyncs(optimized), 0);
 }
 
-// --- Three-engine differential parity ------------------------------------
+// --- Engine differential parity ------------------------------------------
 
 /** Run `before` and `after` on identical inputs through the tree
- *  walker, the bytecode VM, and (when a toolchain exists) the native
- *  JIT; every engine must agree bit-exactly on every buffer. */
+ *  walker and (when a toolchain exists) the native JIT; both engines
+ *  must agree bit-exactly on every buffer. */
 void
-expectThreeEngineParity(const PrimFunc& before, const PrimFunc& after,
-                        uint64_t seed)
+expectEngineParity(const PrimFunc& before, const PrimFunc& after,
+                   uint64_t seed)
 {
     auto make_inputs = [&](const PrimFunc& f) {
         Rng rng(seed);
@@ -479,17 +478,6 @@ expectThreeEngineParity(const PrimFunc& before, const PrimFunc& after,
                 << "interpreter buffer " << i;
         }
     }
-    // Bytecode VM on both.
-    {
-        std::vector<runtime::NDArray> args = make_inputs(after);
-        std::vector<runtime::NDArray*> p = ptrs(args);
-        runtime::VirtualMachine vm;
-        vm.run(runtime::compile(after), p);
-        for (size_t i = 0; i < args.size(); ++i) {
-            EXPECT_EQ(args[i].maxAbsDiff(ref[i]), 0.0)
-                << "vm buffer " << i;
-        }
-    }
     // Native JIT (skipped without a system compiler, and for
     // functions the native tier cannot express — the C emitter
     // rejects GPU thread bindings).
@@ -510,14 +498,14 @@ TEST(OptimizeParityTest, DeadStoreEliminationIsBitExact)
 {
     PrimFunc before = deadStoreCascade(64);
     PrimFunc after = eliminateDeadStores(before);
-    expectThreeEngineParity(before, after, 11);
+    expectEngineParity(before, after, 11);
 }
 
 TEST(OptimizeParityTest, SyncElisionIsBitExact)
 {
     PrimFunc before = perThreadStaging();
     PrimFunc after = elideRedundantSync(before);
-    expectThreeEngineParity(before, after, 12);
+    expectEngineParity(before, after, 12);
 }
 
 /** Staged shared-memory schedule over a workload: bind the two outer
@@ -551,8 +539,8 @@ TEST(OptimizeParityTest, StagedGmmSchedulesAreBitExact)
         opt.elide_redundant_sync = true;
         opt.eliminate_dead_stores = true;
         PrimFunc after = lowerWithOptions(scheduled, opt);
-        expectThreeEngineParity(before, after,
-                                100 + static_cast<uint64_t>(read_index));
+        expectEngineParity(before, after,
+                           100 + static_cast<uint64_t>(read_index));
     }
 }
 

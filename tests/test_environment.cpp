@@ -3,9 +3,10 @@
  * Binary-wide test environment: unless TENSORIR_JIT_CACHE is set, every
  * test compiles native code into a private cache directory under
  * ::testing::TempDir(), removed when the run ends. Tests that tune with
- * measure_backend = "jit" or run on the JIT engine would otherwise fill
- * the user's default cache (runtime::jitCacheDir()). Forked measurement
- * workers inherit the setting.
+ * measure_backend = "jit" or compile kernels through the native tier
+ * would otherwise fill the user's default cache
+ * (runtime::jitCacheDir()). Forked measurement workers inherit the
+ * setting.
  */
 #include <gtest/gtest.h>
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Bytecode VM tests: the VM must reproduce the tree-walking reference
- * oracle bit for bit — outputs, argument validation, select laziness,
- * fuel accounting, failpoint behaviour — and the intrinsic registry
- * both engines share must be safe under concurrent registration
- * (exercised under TSan by the CI job).
+ * The execution contract of the two engines: native code must
+ * reproduce the tree-walking reference oracle bit for bit — outputs,
+ * argument validation, select laziness, fuel accounting, failpoint
+ * behaviour — and the intrinsic registry the tree-walker reads must be
+ * safe under concurrent registration (exercised under TSan by the CI
+ * job). The native legs skip without a working C compiler; the
+ * tree-walker's checks always run.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +15,8 @@
 #include <thread>
 
 #include "intrin/tensor_intrin.h"
-#include "runtime/vm.h"
+#include "lower/lower.h"
+#include "runtime/jit.h"
 #include "support/failpoint.h"
 #include "tir/schedule.h"
 
@@ -24,8 +27,8 @@ namespace {
 
 using runtime::EvalError;
 using runtime::Interpreter;
+using runtime::JitModule;
 using runtime::NDArray;
-using runtime::VirtualMachine;
 
 /** Fill per-parameter inputs the same way for both engines. */
 std::vector<NDArray>
@@ -43,56 +46,82 @@ ptrs(std::vector<NDArray>& arrays)
     return out;
 }
 
-/** Run `func` through both engines on identical inputs and require
- *  bit-identical results on every argument buffer. */
-void
-expectEnginesAgree(const PrimFunc& func, uint64_t seed = 7)
+/** The native module for `func`, which the C backend must be able
+ *  to express (callers skip when no toolchain exists). */
+std::shared_ptr<const JitModule>
+nativeModule(const PrimFunc& func)
 {
-    std::vector<NDArray> vm_args = makeInputs(func, seed);
+    std::shared_ptr<const JitModule> mod = runtime::jitCompile(func);
+    EXPECT_NE(mod, nullptr) << func->name << ": JIT compilation failed";
+    return mod;
+}
+
+/** Run `func` natively and on the tree-walker on identical inputs and
+ *  require bit-identical results on every argument buffer. */
+void
+expectNativeMatchesOracle(const PrimFunc& func, uint64_t seed = 7)
+{
+    std::shared_ptr<const JitModule> mod = nativeModule(func);
+    if (!mod) return;
+    std::vector<NDArray> jit_args = makeInputs(func, seed);
     std::vector<NDArray> tw_args = makeInputs(func, seed);
-    std::vector<NDArray*> vm_ptrs = ptrs(vm_args);
+    std::vector<NDArray*> jit_ptrs = ptrs(jit_args);
     std::vector<NDArray*> tw_ptrs = ptrs(tw_args);
 
-    VirtualMachine vm;
-    vm.run(runtime::compile(func), vm_ptrs);
+    mod->run(jit_ptrs);
     Interpreter interp;
     interp.run(func, tw_ptrs);
 
-    for (size_t i = 0; i < vm_args.size(); ++i) {
-        EXPECT_EQ(vm_args[i].maxAbsDiff(tw_args[i]), 0.0)
+    for (size_t i = 0; i < jit_args.size(); ++i) {
+        EXPECT_EQ(jit_args[i].maxAbsDiff(tw_args[i]), 0.0)
             << "argument " << i << " of " << func->name
-            << " differs between VM and tree-walker";
+            << " differs between native code and the tree-walker";
     }
 }
 
-TEST(VmTest, MatmulMatchesTreeWalkerBitExact)
+/** Fixture for the native-versus-oracle cases: skipped when no C
+ *  compiler works. */
+class NativeOracleTest : public ::testing::Test
 {
-    expectEnginesAgree(testutil::matmul(12, 9, 7));
+  protected:
+    void
+    SetUp() override
+    {
+        if (!runtime::jitAvailable()) {
+            GTEST_SKIP() << "no working C compiler for the JIT tier";
+        }
+    }
+};
+
+TEST_F(NativeOracleTest, MatmulMatchesTreeWalkerBitExact)
+{
+    expectNativeMatchesOracle(testutil::matmul(12, 9, 7));
 }
 
-TEST(VmTest, IntermediateBuffersMatch)
+TEST_F(NativeOracleTest, IntermediateBuffersMatch)
 {
     // matmul_relu allocates the matmul result as an intermediate: the
-    // VM allocates it per run, the tree-walker lazily.
-    expectEnginesAgree(testutil::matmulRelu(8, 6, 5));
+    // native entry gets it zero-filled per run, the tree-walker
+    // allocates it lazily.
+    expectNativeMatchesOracle(testutil::matmulRelu(8, 6, 5));
 }
 
-TEST(VmTest, IntegerWorkloadStaysExact)
+TEST_F(NativeOracleTest, IntegerWorkloadStaysExact)
 {
-    expectEnginesAgree(testutil::matmul(6, 6, 6, DataType::i8()));
+    expectNativeMatchesOracle(testutil::matmul(6, 6, 6, DataType::i8()));
 }
 
-TEST(VmTest, ScheduledImperfectSplitMatches)
+TEST_F(NativeOracleTest, ScheduledImperfectSplitMatches)
 {
     // Imperfect split introduces predicates and min/max bounds.
     PrimFunc original = testutil::matmul(10, 8, 8);
     Schedule sch(original);
     std::vector<Var> loops = sch.getLoops("C");
     sch.split(loops[0], {-1, 3});
-    expectEnginesAgree(sch.func());
+    expectNativeMatchesOracle(sch.func());
 }
 
-TEST(VmTest, TensorizedFuncRunsIntrinsicsThroughVm)
+TEST_F(NativeOracleTest, TensorizedFuncRunsIntrinsicsNatively)
 {
     registerBuiltinIntrinsics();
     PrimFunc original = testutil::matmul(8, 8, 8);
@@ -106,10 +135,10 @@ TEST(VmTest, TensorizedFuncRunsIntrinsicsThroughVm)
     sch.decomposeReduction("C", k_split[0]);
     std::string outer = sch.blockize(i_split[1]);
     sch.tensorize(outer, "accel_dot_4x4x4");
-    expectEnginesAgree(sch.func());
+    expectNativeMatchesOracle(sch.func());
 }
 
-TEST(VmTest, SelectIsLazy)
+TEST(ExecutionTest, SelectIsLazy)
 {
     // Same program as the interpreter's SelectIsLazy test: the guarded
     // branch indexes out of bounds when taken, so an eager select would
@@ -133,14 +162,20 @@ TEST(VmTest, SelectIsLazy)
     NDArray a_data(DataType::f32(), {4});
     NDArray b_data(DataType::f32(), {6});
     for (int64_t e = 0; e < 4; ++e) a_data.at(e) = e + 1;
-    VirtualMachine vm;
-    vm.run(runtime::compile(func), {&a_data, &b_data});
+    Interpreter().run(func, {&a_data, &b_data});
     EXPECT_EQ(b_data.at(3), 4.0);
     EXPECT_EQ(b_data.at(4), 0.0);
     EXPECT_EQ(b_data.at(5), 0.0);
+    if (runtime::jitAvailable()) {
+        std::shared_ptr<const JitModule> mod = nativeModule(func);
+        ASSERT_NE(mod, nullptr);
+        NDArray b_native(DataType::f32(), {6});
+        mod->run({&a_data, &b_native});
+        EXPECT_EQ(b_native.maxAbsDiff(b_data), 0.0);
+    }
 }
 
-TEST(VmTest, PerDimensionShapeValidation)
+TEST(ExecutionTest, PerDimensionShapeValidation)
 {
     // Same element count, different shape: must be rejected by both
     // engines (a 2x6 array bound to a 3x4 parameter would make every
@@ -149,25 +184,31 @@ TEST(VmTest, PerDimensionShapeValidation)
     NDArray a(DataType::f32(), {3, 4});
     NDArray b(DataType::f32(), {4, 4});
     NDArray c_wrong(DataType::f32(), {2, 6});
+    NDArray c(DataType::f32(), {3, 4});
     Interpreter interp;
     EXPECT_THROW(interp.run(f, {&a, &b, &c_wrong}), FatalError);
-    VirtualMachine vm;
-    runtime::CompiledFunc compiled = runtime::compile(f);
-    EXPECT_THROW(vm.run(compiled, {&a, &b, &c_wrong}), FatalError);
-
-    NDArray c(DataType::f32(), {3, 4});
-    EXPECT_NO_THROW(vm.run(compiled, {&a, &b, &c}));
+    EXPECT_NO_THROW(interp.run(f, {&a, &b, &c}));
+    if (runtime::jitAvailable()) {
+        std::shared_ptr<const JitModule> mod = nativeModule(f);
+        ASSERT_NE(mod, nullptr);
+        EXPECT_THROW(mod->run({&a, &b, &c_wrong}), FatalError);
+        EXPECT_NO_THROW(mod->run({&a, &b, &c}));
+    }
 }
 
-TEST(VmTest, ArgumentCountValidation)
+TEST(ExecutionTest, ArgumentCountValidation)
 {
     PrimFunc f = testutil::matmul(2, 2, 2);
     NDArray a(DataType::f32(), {2, 2});
-    VirtualMachine vm;
-    EXPECT_THROW(vm.run(runtime::compile(f), {&a}), FatalError);
+    EXPECT_THROW(Interpreter().run(f, {&a}), FatalError);
+    if (runtime::jitAvailable()) {
+        std::shared_ptr<const JitModule> mod = nativeModule(f);
+        ASSERT_NE(mod, nullptr);
+        EXPECT_THROW(mod->run({&a}), FatalError);
+    }
 }
 
-TEST(VmTest, UnderIndexedAccessIsRejected)
+TEST(ExecutionTest, UnderIndexedAccessIsRejected)
 {
     // A rank-2 buffer accessed with one index must be an internal
     // error, not a silent wrong-element access. The bufferStore
@@ -180,10 +221,11 @@ TEST(VmTest, UnderIndexedAccessIsRejected)
     NDArray data(DataType::f32(), {4, 5});
     Interpreter interp;
     EXPECT_THROW(interp.run(f, {&data}), InternalError);
-    EXPECT_THROW(runtime::compile(f), InternalError);
+    // The C backend refuses to emit it: no native module.
+    EXPECT_EQ(runtime::jitCompile(f), nullptr);
 }
 
-TEST(VmTest, ShadowedLoopVarRestoredAfterInnerLoop)
+TEST(ExecutionTest, ShadowedLoopVarRestoredAfterInnerLoop)
 {
     // Regression: the same VarNode drives an inner loop nested in an
     // outer loop that keeps using it afterwards. Unconditional erase on
@@ -204,22 +246,29 @@ TEST(VmTest, ShadowedLoopVarRestoredAfterInnerLoop)
     Interpreter interp;
     interp.run(f, {&a_data, &b_data});
     for (int64_t e = 0; e < 8; ++e) EXPECT_EQ(a_data.at(e), double(e));
+    EXPECT_EQ(b_data.at(0), 0.0);
+    EXPECT_EQ(b_data.at(1), 1.0);
 
-    NDArray a_vm(DataType::f32(), {8});
-    NDArray b_vm(DataType::f32(), {2});
-    VirtualMachine vm;
-    vm.run(runtime::compile(f), {&a_vm, &b_vm});
-    EXPECT_EQ(a_vm.maxAbsDiff(a_data), 0.0);
-    EXPECT_EQ(b_vm.maxAbsDiff(b_data), 0.0);
+    if (runtime::jitAvailable()) {
+        std::shared_ptr<const JitModule> mod = nativeModule(f);
+        ASSERT_NE(mod, nullptr);
+        NDArray a_run(DataType::f32(), {8});
+        NDArray b_run(DataType::f32(), {2});
+        mod->run({&a_run, &b_run});
+        EXPECT_EQ(a_run.maxAbsDiff(a_data), 0.0);
+        EXPECT_EQ(b_run.maxAbsDiff(b_data), 0.0);
+    }
 }
 
-TEST(VmTest, FailpointFiresLikeTreeWalker)
+TEST(ExecutionTest, FailpointFiresLikeTreeWalker)
 {
     // Both engines share the interp.run failpoint site and surface it
     // as the same structured EvalError.
     PrimFunc f = testutil::matmul(4, 4, 4);
     std::vector<NDArray> args = makeInputs(f, 3);
     std::vector<NDArray*> arg_ptrs = ptrs(args);
+    std::shared_ptr<const JitModule> mod =
+        runtime::jitAvailable() ? nativeModule(f) : nullptr;
     failpoint::ScopedFailpoints guard("seed=5; interp.run=error(1)");
     Interpreter interp;
     std::string tw_what;
@@ -229,23 +278,54 @@ TEST(VmTest, FailpointFiresLikeTreeWalker)
     } catch (const EvalError& e) {
         tw_what = e.what();
     }
-    VirtualMachine vm;
-    runtime::CompiledFunc compiled = runtime::compile(f);
-    try {
-        vm.run(compiled, arg_ptrs);
-        FAIL() << "VM did not hit the failpoint";
-    } catch (const EvalError& e) {
-        EXPECT_EQ(tw_what, e.what());
+    EXPECT_EQ(tw_what, "injected interpreter fault (failpoint interp.run) "
+                       "in " +
+                           f->name);
+    if (mod) {
+        try {
+            mod->run(arg_ptrs);
+            FAIL() << "native code did not hit the failpoint";
+        } catch (const EvalError& e) {
+            EXPECT_EQ(tw_what, e.what());
+        }
     }
 }
 
-TEST(VmFuelTest, StepLimitParityAtEveryBudget)
+/** Run `func` on `engine` under a `limit` budget from seeded inputs:
+ *  whether it threw EvalError, the message, and the arguments left
+ *  behind. */
+struct FuelRun
 {
-    // Find the exact statement count via the tree-walker, then check
-    // that every budget below it exhausts both engines identically —
-    // including the partially-written outputs at the point of abort.
+    bool threw = false;
+    std::string what;
+    std::vector<NDArray> args;
+};
+
+template <typename Run>
+FuelRun
+runWithFuel(const PrimFunc& func, uint64_t seed, Run&& engine)
+{
+    FuelRun out;
+    out.args = makeInputs(func, seed);
+    std::vector<NDArray*> arg_ptrs = ptrs(out.args);
+    try {
+        engine(arg_ptrs);
+    } catch (const EvalError& e) {
+        out.threw = true;
+        out.what = e.what();
+    }
+    return out;
+}
+
+TEST(FuelTest, StepLimitParityAtEveryBudget)
+{
+    // Find the exact statement count via the tree-walker; every budget
+    // below it must abort with the fuel EvalError, and the budget
+    // itself must suffice. On the lowered function — the statement
+    // stream native code runs — every budget must also exhaust the
+    // tree-walker and native code identically, including the
+    // partially-written outputs at the point of abort.
     PrimFunc f = testutil::matmul(3, 3, 3);
-    runtime::CompiledFunc compiled = runtime::compile(f);
 
     uint64_t total = 0;
     for (uint64_t limit = 1;; ++limit) {
@@ -262,46 +342,49 @@ TEST(VmFuelTest, StepLimitParityAtEveryBudget)
         ASSERT_LT(limit, 100000u) << "matmul(3,3,3) runaway";
     }
     ASSERT_GT(total, 1u);
-
     for (uint64_t limit = 1; limit <= total; ++limit) {
-        std::vector<NDArray> tw_args = makeInputs(f, 1);
-        std::vector<NDArray*> tw_ptrs = ptrs(tw_args);
-        Interpreter interp;
-        interp.setStepLimit(limit);
-        bool tw_threw = false;
-        std::string tw_what;
-        try {
-            interp.run(f, tw_ptrs);
-        } catch (const EvalError& e) {
-            tw_threw = true;
-            tw_what = e.what();
+        FuelRun tw = runWithFuel(f, 1, [&](std::vector<NDArray*>& a) {
+            Interpreter interp;
+            interp.setStepLimit(limit);
+            interp.run(f, a);
+        });
+        EXPECT_EQ(tw.threw, limit < total) << "limit " << limit;
+        if (tw.threw) {
+            EXPECT_EQ(tw.what, "interpreter step limit of " +
+                                   std::to_string(limit) +
+                                   " statements exceeded (runaway "
+                                   "program?)");
         }
+    }
 
-        std::vector<NDArray> vm_args = makeInputs(f, 1);
-        std::vector<NDArray*> vm_ptrs = ptrs(vm_args);
-        VirtualMachine vm;
-        vm.setStepLimit(limit);
-        bool vm_threw = false;
-        std::string vm_what;
-        try {
-            vm.run(compiled, vm_ptrs);
-        } catch (const EvalError& e) {
-            vm_threw = true;
-            vm_what = e.what();
-        }
-
-        EXPECT_EQ(tw_threw, vm_threw) << "fuel divergence at limit "
-                                      << limit << " of " << total;
-        EXPECT_EQ(tw_what, vm_what);
-        for (size_t i = 0; i < tw_args.size(); ++i) {
-            EXPECT_EQ(tw_args[i].maxAbsDiff(vm_args[i]), 0.0)
+    if (!runtime::jitAvailable()) return;
+    std::shared_ptr<const JitModule> mod = nativeModule(f);
+    ASSERT_NE(mod, nullptr);
+    PrimFunc lowered = lowerToLoops(f);
+    for (uint64_t limit = 1;; ++limit) {
+        FuelRun tw =
+            runWithFuel(lowered, 1, [&](std::vector<NDArray*>& a) {
+                Interpreter interp;
+                interp.setStepLimit(limit);
+                interp.run(lowered, a);
+            });
+        FuelRun jit = runWithFuel(
+            lowered, 1,
+            [&](std::vector<NDArray*>& a) { mod->run(a, limit); });
+        EXPECT_EQ(tw.threw, jit.threw)
+            << "fuel divergence at limit " << limit;
+        EXPECT_EQ(tw.what, jit.what);
+        for (size_t i = 0; i < tw.args.size(); ++i) {
+            EXPECT_EQ(tw.args[i].maxAbsDiff(jit.args[i]), 0.0)
                 << "partial output " << i << " differs at limit "
                 << limit;
         }
+        if (!tw.threw) break;
+        ASSERT_LT(limit, 100000u) << "lowered matmul(3,3,3) runaway";
     }
 }
 
-TEST(VmFuelTest, StepLimitEnvParsingIsStrict)
+TEST(FuelTest, StepLimitEnvParsingIsStrict)
 {
     // strtoull would quietly turn garbage into 0 = unlimited fuel; the
     // parser must reject anything that is not a plain decimal count.
@@ -361,9 +444,10 @@ TEST(IntrinRegistryTest, ConcurrentFirstLookupSeesEveryBuiltin)
 
 TEST(IntrinRegistryTest, ConcurrentRegistrationAndExecution)
 {
-    // Search workers execute candidates (reading the registry) while
-    // other code may still register intrinsics. Snapshot publication
-    // must make that race benign — this test runs under TSan in CI.
+    // Search workers execute candidates (the tree-walker reads the
+    // registry) while other code may still register intrinsics.
+    // Snapshot publication must make that race benign — this test runs
+    // under TSan in CI.
     registerBuiltinIntrinsics();
     PrimFunc f = testutil::matmul(4, 4, 4);
     std::atomic<bool> stop{false};
@@ -384,7 +468,8 @@ TEST(IntrinRegistryTest, ConcurrentRegistrationAndExecution)
             while (!stop.load()) {
                 std::vector<NDArray> args = makeInputs(f, 2);
                 std::vector<NDArray*> arg_ptrs = ptrs(args);
-                runtime::execute(f, arg_ptrs);
+                Interpreter interp;
+                interp.run(f, arg_ptrs);
                 EXPECT_TRUE(
                     Interpreter::hasIntrinsic("accel.tile_mma_4x4x4"));
             }

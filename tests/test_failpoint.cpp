@@ -151,6 +151,8 @@ TEST_F(FailpointTest, MalformedSpecsThrowAndLeaveScheduleIntact)
     EXPECT_THROW(failpoint::configure("x=unknownkind"), FatalError);
     EXPECT_THROW(failpoint::configure("x=error(1.5)"), FatalError);
     EXPECT_THROW(failpoint::configure("x=error(0.5"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=delay(1,inf)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=corrupt(1,1e10)"), FatalError);
     EXPECT_THROW(failpoint::configure("x=throw@abc"), FatalError);
     EXPECT_THROW(failpoint::configure("seed=abc"), FatalError);
     // The previous schedule survived every failed configure.

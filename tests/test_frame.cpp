@@ -87,38 +87,6 @@ TEST(FrameTest, DamagedFrameEndsAtItsTrailer)
 
 // --- fuzz ----------------------------------------------------------------
 
-/** One random damage: flip a few bytes, truncate, or splice a chunk of
- *  the text into another place. */
-std::string
-damage(const std::string& text, Rng& rng)
-{
-    std::string out = text;
-    switch (rng.randInt(3)) {
-      case 0:
-        for (int64_t n = 1 + rng.randInt(4); n > 0; --n) {
-            out[static_cast<size_t>(rng.randInt(
-                static_cast<int64_t>(out.size())))] ^=
-                static_cast<char>(1 + rng.randInt(255));
-        }
-        break;
-      case 1:
-        out.resize(static_cast<size_t>(
-            rng.randInt(static_cast<int64_t>(out.size()))));
-        break;
-      default: {
-        size_t from = static_cast<size_t>(
-            rng.randInt(static_cast<int64_t>(text.size())));
-        size_t len = static_cast<size_t>(
-            1 + rng.randInt(static_cast<int64_t>(
-                    std::min<size_t>(256, text.size() - from))));
-        size_t to = static_cast<size_t>(
-            rng.randInt(static_cast<int64_t>(out.size()) + 1));
-        out.insert(to, text.substr(from, len));
-      }
-    }
-    return out;
-}
-
 Decision
 tile(int64_t extent, std::vector<int64_t> values)
 {
@@ -174,7 +142,7 @@ TEST(PersistenceFuzzTest, DatabaseLoadsOnlySavedRecords)
     Rng rng(20231);
     for (int iter = 0; iter < 600; ++iter) {
         meta::TuningDatabase loaded(3);
-        meta::LoadReport report = loaded.parse(damage(text, rng));
+        meta::LoadReport report = loaded.parse(testutil::damage(text, rng));
         size_t intact = 0;
         for (const meta::TuneRecord& r : saved) {
             std::optional<meta::TuneRecord> got =
@@ -301,7 +269,7 @@ TEST(PersistenceFuzzTest, JournalRecoversAPrefixOfWhatWasWritten)
     for (int iter = 0; iter < 300; ++iter) {
         {
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << damage(text, rng);
+            out << testutil::damage(text, rng);
         }
         meta::JournalContents got = meta::readJournal(path);
         for (const meta::JournalSection& section : got.sections) {

@@ -2,21 +2,28 @@
  * @file
  * Native JIT tier tests: compile-load-run correctness against the
  * oracle, cache behaviour (memory hit, disk hit, eviction, corrupt-.so
- * recovery), the engine-selection contract, and graceful VM fallback
- * under injected compiler/loader failures and a missing toolchain.
- * The cache-behaviour tests redirect TENSORIR_JIT_CACHE to a private
- * temporary directory so they never race another process's cache.
+ * recovery), no module (and no retry) under injected compiler/loader
+ * failures and a missing toolchain, numeric-checked tunes that never
+ * touch the tier, and the single-flight toolchain probe and compile
+ * under concurrent first calls. The tests redirect TENSORIR_JIT_CACHE
+ * to a private temporary directory so they never race another
+ * process's cache.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <thread>
 
+#include "intrin/tensor_intrin.h"
 #include "meta/search.h"
 #include "runtime/jit.h"
+#include "support/double_bits.h"
 #include "support/failpoint.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 #include "test_util.h"
@@ -29,12 +36,7 @@ namespace fs = std::filesystem;
 using testutil::matmul;
 using testutil::ScopedEnv;
 
-/** Fixture: private on-disk cache per test + clean in-memory state.
- *  Also neutralizes the ambient engine environment (CI runs the whole
- *  suite under TENSORIR_ENGINE=treewalk and TENSORIR_ENGINE=jit
- *  passes) — these tests exercise the selection machinery itself, so
- *  they pin their own engine like the differential tests pin their own
- *  interpreters. */
+/** Fixture: private on-disk cache per test + clean in-memory state. */
 class JitTest : public ::testing::Test
 {
   protected:
@@ -43,7 +45,6 @@ class JitTest : public ::testing::Test
     {
         cache_env_.emplace("TENSORIR_JIT_CACHE",
                            cache_dir_.path().c_str());
-        engine_env_.emplace("TENSORIR_ENGINE", nullptr);
         runtime::jitResetForTesting();
     }
 
@@ -51,7 +52,6 @@ class JitTest : public ::testing::Test
     TearDown() override
     {
         runtime::jitResetForTesting();
-        engine_env_.reset();
         cache_env_.reset();
     }
 
@@ -74,46 +74,7 @@ class JitTest : public ::testing::Test
 
     testutil::ScopedTempDir cache_dir_;
     std::optional<ScopedEnv> cache_env_;
-    std::optional<ScopedEnv> engine_env_;
 };
-
-TEST(JitEngineTest, EngineNamesRoundTrip)
-{
-    using runtime::Engine;
-    EXPECT_STREQ(runtime::engineName(Engine::kTreeWalk), "treewalk");
-    EXPECT_STREQ(runtime::engineName(Engine::kVm), "vm");
-    EXPECT_STREQ(runtime::engineName(Engine::kJit), "jit");
-    EXPECT_EQ(runtime::parseEngineName("treewalk"), Engine::kTreeWalk);
-    EXPECT_EQ(runtime::parseEngineName("vm"), Engine::kVm);
-    EXPECT_EQ(runtime::parseEngineName("jit"), Engine::kJit);
-    EXPECT_EQ(runtime::parseEngineName("JIT"), std::nullopt);
-    EXPECT_EQ(runtime::parseEngineName(""), std::nullopt);
-}
-
-TEST(JitEngineTest, SelectionOrderContract)
-{
-    using runtime::Engine;
-    // This test asserts the selection order itself, so clear the env
-    // knobs a CI pass may have exported for the rest of the suite.
-    ScopedEnv engine_env("TENSORIR_ENGINE", nullptr);
-    // Default: the bytecode VM.
-    EXPECT_EQ(runtime::selectedEngine(), Engine::kVm);
-    {
-        // An explicit override wins over the default.
-        runtime::ScopedEngine jit(Engine::kJit);
-        EXPECT_EQ(runtime::selectedEngine(), Engine::kJit);
-    }
-    {
-        // TENSORIR_ENGINE selects when no override is installed, and an
-        // explicit override still beats it.
-        ScopedEnv treewalk("TENSORIR_ENGINE", "treewalk");
-        EXPECT_EQ(runtime::selectedEngine(), Engine::kTreeWalk);
-        runtime::ScopedEngine jit(Engine::kJit);
-        EXPECT_EQ(runtime::selectedEngine(), Engine::kJit);
-    }
-    // ScopedEngine restored the previous (empty) override.
-    EXPECT_EQ(runtime::selectedEngine(), Engine::kVm);
-}
 
 TEST_F(JitTest, CompiledKernelMatchesOracleBitExact)
 {
@@ -224,59 +185,39 @@ TEST_F(JitTest, CacheEvictsOldestObjectsBeyondCap)
     EXPECT_EQ(runtime::jitStats().compiles, 1u);
 }
 
-TEST_F(JitTest, CompilerFailureFallsBackToVm)
+TEST_F(JitTest, CompilerFailureYieldsNoModuleOnce)
 {
-    runtime::ScopedEngine jit(runtime::Engine::kJit);
     failpoint::ScopedFailpoints chaos("seed=5; jit.compile=error(1)");
     PrimFunc func = matmul(10, 10, 10);
-    std::vector<runtime::NDArray> args = seededArgs(func);
-    std::vector<runtime::NDArray> tw_args = seededArgs(func);
-    std::vector<runtime::NDArray*> arg_ptrs = ptrs(args);
-    std::vector<runtime::NDArray*> tw_ptrs = ptrs(tw_args);
-    // execute must degrade to the VM, not throw.
-    runtime::execute(func, arg_ptrs);
-    EXPECT_GE(runtime::jitStats().vm_fallbacks, 1u);
+    EXPECT_EQ(runtime::jitCompile(func), nullptr);
+    const runtime::JitStats first = runtime::jitStats();
     if (runtime::jitAvailable()) {
-        EXPECT_GE(runtime::jitStats().compile_failures, 1u);
+        EXPECT_EQ(first.compiles, 1u);
+        EXPECT_EQ(first.compile_failures, 1u);
     }
-    runtime::Interpreter interp;
-    interp.run(func, tw_ptrs);
-    for (size_t i = 0; i < args.size(); ++i) {
-        EXPECT_EQ(args[i].maxAbsDiff(tw_args[i]), 0.0);
-    }
+    // The failure is cached per key: asking again runs no compiler.
+    EXPECT_EQ(runtime::jitCompile(func), nullptr);
+    EXPECT_EQ(runtime::jitStats().compiles, first.compiles);
 }
 
-TEST_F(JitTest, DlopenFailureFallsBackToVm)
+TEST_F(JitTest, DlopenFailureYieldsNoModuleOnce)
 {
-    runtime::ScopedEngine jit(runtime::Engine::kJit);
     failpoint::ScopedFailpoints chaos("seed=5; jit.dlopen=error(1)");
     PrimFunc func = matmul(10, 10, 10);
-    std::vector<runtime::NDArray> args = seededArgs(func);
-    std::vector<runtime::NDArray*> arg_ptrs = ptrs(args);
-    runtime::execute(func, arg_ptrs);
-    EXPECT_GE(runtime::jitStats().vm_fallbacks, 1u);
+    EXPECT_EQ(runtime::jitCompile(func), nullptr);
+    const runtime::JitStats first = runtime::jitStats();
+    EXPECT_EQ(runtime::jitCompile(func), nullptr);
+    EXPECT_EQ(runtime::jitStats().compiles, first.compiles);
 }
 
-TEST_F(JitTest, MissingToolchainFallsBackToVm)
+TEST_F(JitTest, MissingToolchainYieldsNoModule)
 {
     ScopedEnv cc("TENSORIR_CC", "/nonexistent/tensorir-cc");
     runtime::jitResetForTesting();
     EXPECT_FALSE(runtime::jitAvailable());
     EXPECT_EQ(runtime::jitCompile(matmul(8, 8, 8)), nullptr);
-
-    runtime::ScopedEngine jit(runtime::Engine::kJit);
-    PrimFunc func = matmul(10, 10, 10);
-    std::vector<runtime::NDArray> args = seededArgs(func);
-    std::vector<runtime::NDArray> tw_args = seededArgs(func);
-    std::vector<runtime::NDArray*> arg_ptrs = ptrs(args);
-    std::vector<runtime::NDArray*> tw_ptrs = ptrs(tw_args);
-    runtime::execute(func, arg_ptrs);
-    EXPECT_GE(runtime::jitStats().vm_fallbacks, 1u);
-    runtime::Interpreter interp;
-    interp.run(func, tw_ptrs);
-    for (size_t i = 0; i < args.size(); ++i) {
-        EXPECT_EQ(args[i].maxAbsDiff(tw_args[i]), 0.0);
-    }
+    EXPECT_EQ(runtime::jitCompile(matmul(10, 10, 10)), nullptr);
+    EXPECT_EQ(runtime::jitStats().compiles, 0u);
 }
 
 TEST_F(JitTest, FuelExhaustionRaisesTheEngineContractError)
@@ -298,7 +239,7 @@ TEST_F(JitTest, FuelExhaustionRaisesTheEngineContractError)
                      "interpreter step limit of 1 statements exceeded "
                      "(runaway program?)");
     }
-    // 0 = unlimited, same as the other engines.
+    // 0 = unlimited, same as the tree-walker.
     EXPECT_NO_THROW(mod->run(arg_ptrs, uint64_t{0}));
 }
 
@@ -325,36 +266,130 @@ TEST_F(JitTest, InjectedInterpFaultMatchesEngineContract)
     }
 }
 
-TEST_F(JitTest, TuneOptionsEngineDrivesNumericChecks)
+TEST_F(JitTest, NumericCheckedTuneIsTheSameWithoutToolchain)
 {
-    // TuneOptions::engine = "jit" routes the tuner's numeric
-    // spot-checks through the native tier (with transparent VM
-    // fallback when no toolchain exists, so this test is
-    // environment-independent).
-    workloads::OpSpec op = workloads::gmm(64, 64, 64);
-    hwsim::GpuDevice gpu;
-    meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
+    // The tuner's numeric spot-checks run on the tree-walker whether or
+    // not a compiler exists: they never reach the native tier, so fuel,
+    // registered intrinsic semantics and results cannot depend on the
+    // host, and the search reaches the same TuneResult either way.
+    registerBuiltinIntrinsics();
+    workloads::OpSpec op =
+        workloads::gmm(48, 48, 32, DataType::i8(), DataType::i32());
+    hwsim::CpuDevice cpu;
+    meta::TuneTask task{op.func, op.einsum_block, "cpu",
+                        {"arm_sdot_1x1x4", "arm_gemm_8x12x4"}};
     meta::TuneOptions options;
     options.population = 4;
-    options.generations = 2;
+    options.generations = 1;
     options.children_per_generation = 8;
-    options.measured_per_generation = 4;
+    options.measured_per_generation = 3;
     options.seed = 33;
+    options.parallelism = 1;
     options.numeric_check_topk = 2;
-    options.engine = "jit";
-    meta::TuneResult result =
-        meta::autoTune(task, gpu, options, meta::TunerStyle::kTensorIR);
-    EXPECT_GT(result.trials_measured, 0);
-    // The override is scoped to the tune: the ambient engine is back
-    // to the default afterwards.
-    EXPECT_EQ(runtime::selectedEngine(), runtime::Engine::kVm);
 
-    // A typo'd engine name must fail loudly, not silently change
-    // engines.
-    options.engine = "native";
-    EXPECT_THROW(
-        meta::autoTune(task, gpu, options, meta::TunerStyle::kTensorIR),
-        FatalError);
+    meta::TuneResult with_cc =
+        meta::autoTune(task, cpu, options, meta::TunerStyle::kTensorIR);
+    EXPECT_EQ(runtime::jitStats().compiles, 0u);
+
+    meta::TuneResult without_cc;
+    {
+        ScopedEnv cc("TENSORIR_CC", "/nonexistent/tensorir-cc");
+        runtime::jitResetForTesting();
+        without_cc = meta::autoTune(task, cpu, options,
+                                    meta::TunerStyle::kTensorIR);
+        EXPECT_FALSE(runtime::jitAvailable());
+        EXPECT_EQ(runtime::jitStats().compiles, 0u);
+    }
+
+    EXPECT_GT(with_cc.trials_measured, 0);
+    EXPECT_EQ(with_cc.numeric_filtered, 0);
+    EXPECT_EQ(with_cc.counters(), without_cc.counters());
+    EXPECT_EQ(support::doubleBitsHex(with_cc.best_latency_us),
+              support::doubleBitsHex(without_cc.best_latency_us));
+    EXPECT_EQ(with_cc.history, without_cc.history);
+    EXPECT_EQ(with_cc.best_sketch, without_cc.best_sketch);
+    ASSERT_EQ(with_cc.best_decisions.size(),
+              without_cc.best_decisions.size());
+    for (size_t i = 0; i < with_cc.best_decisions.size(); ++i) {
+        EXPECT_EQ(with_cc.best_decisions[i].values,
+                  without_cc.best_decisions[i].values)
+            << "decision " << i;
+    }
+}
+
+// --- concurrency ---------------------------------------------------------
+
+/** Concurrent first calls into the tier. Repeated pinned to 2 and 4
+ *  CPUs and run under TSan by scripts/ci.sh. */
+class JitConcurrencyTest : public JitTest
+{};
+
+TEST_F(JitConcurrencyTest, FirstProbesShareOneVerdict)
+{
+    // Regression: every probe of one process wrote and deleted the same
+    // probe_<pid>.c/.so, so threads probing at once removed each
+    // other's files, and whichever verdict landed first -- often false
+    // -- switched native execution off for the rest of the process.
+    // Concurrent first calls now share one probe.
+    if (!runtime::jitAvailable()) {
+        GTEST_SKIP() << "no working C compiler for the JIT tier";
+    }
+    testutil::ScopedTempDir dir;
+    trace::SessionGuard session(dir.file("trace.json"));
+    ASSERT_TRUE(session.owns());
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 10;
+    for (int round = 0; round < kRounds; ++round) {
+        runtime::jitResetForTesting();
+        std::atomic<int> arrived{0};
+        std::atomic<int> available{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kThreads) {
+                }
+                if (runtime::jitAvailable()) available.fetch_add(1);
+            });
+        }
+        for (std::thread& t : threads) t.join();
+        EXPECT_EQ(available.load(), kThreads) << "round " << round;
+        EXPECT_TRUE(runtime::jitAvailable())
+            << "round " << round << " cached a failed probe";
+    }
+    // One compile per round, however many threads asked.
+    EXPECT_EQ(testutil::summaryValue(trace::summaryText(), "jit.probe"),
+              kRounds);
+}
+
+TEST_F(JitConcurrencyTest, FirstCompilesShareOneModule)
+{
+    if (!runtime::jitAvailable()) {
+        GTEST_SKIP() << "no working C compiler for the JIT tier";
+    }
+    // Every compile sleeps 50 ms before it invokes the compiler, which
+    // holds the window for the other threads' requests wide open.
+    failpoint::ScopedFailpoints slow("seed=1; jit.compile=delay(1,50)");
+    PrimFunc func = matmul(7, 7, 7);
+    constexpr int kThreads = 4;
+    std::vector<std::shared_ptr<const runtime::JitModule>> modules(
+        kThreads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kThreads) {
+            }
+            modules[static_cast<size_t>(t)] = runtime::jitCompile(func);
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(runtime::jitStats().compiles, 1u);
+    EXPECT_EQ(runtime::jitStats().memory_hits,
+              static_cast<uint64_t>(kThreads - 1));
+    ASSERT_NE(modules[0], nullptr);
+    for (const auto& mod : modules) EXPECT_EQ(mod, modules[0]);
 }
 
 } // namespace

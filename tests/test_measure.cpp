@@ -21,7 +21,6 @@
 #include "meta/search.h"
 #include "meta/sketch.h"
 #include "runtime/jit.h"
-#include "runtime/vm.h"
 #include "support/failpoint.h"
 #include "support/logging.h"
 #include "workloads/workloads.h"
@@ -168,10 +167,7 @@ TEST(MeasureBackendTest, FactoryResolvesNamesStrictly)
 }
 
 /** Fixture for tests that time real native code: private on-disk JIT
- *  cache, clean in-memory JIT state, and the ambient engine
- *  environment neutralized (the CI suite runs whole passes under
- *  TENSORIR_ENGINE=treewalk / TENSORIR_ENGINE=jit; these tests pin
- *  their own world like test_jit.cpp does). */
+ *  cache and clean in-memory JIT state, like test_jit.cpp. */
 class JitMeasurerTest : public ::testing::Test
 {
   protected:
@@ -180,7 +176,6 @@ class JitMeasurerTest : public ::testing::Test
     {
         cache_env_.emplace("TENSORIR_JIT_CACHE",
                            cache_dir_.path().c_str());
-        engine_env_.emplace("TENSORIR_ENGINE", nullptr);
         runtime::jitResetForTesting();
     }
 
@@ -188,7 +183,6 @@ class JitMeasurerTest : public ::testing::Test
 
     testutil::ScopedTempDir cache_dir_;
     std::optional<ScopedEnv> cache_env_;
-    std::optional<ScopedEnv> engine_env_;
 };
 
 TEST_F(JitMeasurerTest, SmokeMeasuresTinyWorkload)

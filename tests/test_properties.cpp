@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "intrin/tensor_intrin.h"
+#include "lower/lower.h"
 #include "runtime/jit.h"
 #include "support/failpoint.h"
 #include "tir/schedule.h"
@@ -175,11 +176,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomScheduleTest,
                          ::testing::Range(1, 13));
 
 /** Differential engine property: randomly scheduled Table 1 workloads
- *  must behave identically on the bytecode VM and the tree-walking
- *  oracle — outputs bit for bit, same fuel-exhaustion point with the
- *  same partial state, and the same failpoint firing. */
-class VmDifferentialTest : public ::testing::TestWithParam<int>
-{};
+ *  must behave identically as native code and on the tree-walking
+ *  oracle — outputs bit for bit, the same fuel-exhaustion point with
+ *  the same partial state on the lowered statement stream, and the
+ *  same failpoint firing. The C emitter performs exactly the
+ *  interpreter's double arithmetic and the object is built with
+ *  -ffp-contract=off, so on one machine and libm the comparison holds
+ *  bit for bit (docs/EXECUTION.md documents when it would not). A
+ *  missing toolchain skips rather than fails. */
+class JitDifferentialTest : public ::testing::TestWithParam<int>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!runtime::jitAvailable()) {
+            GTEST_SKIP() << "no working C compiler for the JIT tier";
+        }
+    }
+};
 
 std::vector<runtime::NDArray>
 diffInputs(const PrimFunc& func, uint64_t seed)
@@ -209,34 +224,44 @@ randomSchedule(const workloads::OpSpec& spec, uint64_t seed)
     return sch.func();
 }
 
-TEST_P(VmDifferentialTest, ScheduledWorkloadsMatchOracleBitExact)
+TEST_P(JitDifferentialTest, ScheduledWorkloadsMatchOracleBitExact)
 {
     uint64_t seed = static_cast<uint64_t>(GetParam());
     for (const workloads::OpSpec& spec : workloads::gpuSuiteSmall()) {
         PrimFunc func = randomSchedule(spec, seed);
-        std::vector<runtime::NDArray> vm_args = diffInputs(func, seed);
+        std::shared_ptr<const runtime::JitModule> mod =
+            runtime::jitCompile(func);
+        ASSERT_NE(mod, nullptr)
+            << spec.name << ": JIT compilation failed";
+        std::vector<runtime::NDArray> jit_args = diffInputs(func, seed);
         std::vector<runtime::NDArray> tw_args = diffInputs(func, seed);
-        std::vector<runtime::NDArray*> vm_ptrs = diffPtrs(vm_args);
+        std::vector<runtime::NDArray*> jit_ptrs = diffPtrs(jit_args);
         std::vector<runtime::NDArray*> tw_ptrs = diffPtrs(tw_args);
-        runtime::VirtualMachine vm;
-        vm.run(runtime::compile(func), vm_ptrs);
+        mod->run(jit_ptrs);
         runtime::Interpreter interp;
         interp.run(func, tw_ptrs);
-        for (size_t i = 0; i < vm_args.size(); ++i) {
-            EXPECT_EQ(vm_args[i].maxAbsDiff(tw_args[i]), 0.0)
+        for (size_t i = 0; i < jit_args.size(); ++i) {
+            EXPECT_EQ(jit_args[i].maxAbsDiff(tw_args[i]), 0.0)
                 << spec.name << " argument " << i
-                << " differs between VM and tree-walker";
+                << " differs between JIT and tree-walker";
         }
     }
 }
 
-TEST_P(VmDifferentialTest, FuelExhaustionMatchesOracle)
+TEST_P(JitDifferentialTest, FuelExhaustionMatchesOracle)
 {
-    // Both engines must run out of fuel at the same statement, report
-    // the same message, and leave identical partial results behind.
+    // Native code charges fuel on the lowered statement stream, so the
+    // tree-walker runs the lowered function here: both must run out of
+    // fuel at the same statement, report the same message, and leave
+    // identical partial results behind.
     uint64_t seed = static_cast<uint64_t>(GetParam());
     for (const workloads::OpSpec& spec : workloads::gpuSuiteSmall()) {
-        PrimFunc func = randomSchedule(spec, seed);
+        PrimFunc scheduled = randomSchedule(spec, seed);
+        std::shared_ptr<const runtime::JitModule> mod =
+            runtime::jitCompile(scheduled);
+        ASSERT_NE(mod, nullptr)
+            << spec.name << ": JIT compilation failed";
+        PrimFunc func = lowerToLoops(scheduled);
         for (uint64_t limit : {uint64_t{41}, uint64_t{977}}) {
             std::vector<runtime::NDArray> tw_args =
                 diffInputs(func, seed);
@@ -252,25 +277,23 @@ TEST_P(VmDifferentialTest, FuelExhaustionMatchesOracle)
                 tw_what = e.what();
             }
 
-            std::vector<runtime::NDArray> vm_args =
+            std::vector<runtime::NDArray> jit_args =
                 diffInputs(func, seed);
-            std::vector<runtime::NDArray*> vm_ptrs = diffPtrs(vm_args);
-            bool vm_threw = false;
-            std::string vm_what;
-            runtime::VirtualMachine vm;
-            vm.setStepLimit(limit);
+            std::vector<runtime::NDArray*> jit_ptrs = diffPtrs(jit_args);
+            bool jit_threw = false;
+            std::string jit_what;
             try {
-                vm.run(runtime::compile(func), vm_ptrs);
+                mod->run(jit_ptrs, limit);
             } catch (const runtime::EvalError& e) {
-                vm_threw = true;
-                vm_what = e.what();
+                jit_threw = true;
+                jit_what = e.what();
             }
 
-            EXPECT_EQ(tw_threw, vm_threw)
+            EXPECT_EQ(tw_threw, jit_threw)
                 << spec.name << " fuel divergence at limit " << limit;
-            EXPECT_EQ(tw_what, vm_what);
-            for (size_t i = 0; i < vm_args.size(); ++i) {
-                EXPECT_EQ(vm_args[i].maxAbsDiff(tw_args[i]), 0.0)
+            EXPECT_EQ(tw_what, jit_what);
+            for (size_t i = 0; i < jit_args.size(); ++i) {
+                EXPECT_EQ(jit_args[i].maxAbsDiff(tw_args[i]), 0.0)
                     << spec.name << " partial state of argument " << i
                     << " differs at limit " << limit;
             }
@@ -278,14 +301,18 @@ TEST_P(VmDifferentialTest, FuelExhaustionMatchesOracle)
     }
 }
 
-TEST_P(VmDifferentialTest, FailpointFiresIdentically)
+TEST_P(JitDifferentialTest, FailpointFiresIdentically)
 {
     uint64_t seed = static_cast<uint64_t>(GetParam());
-    failpoint::ScopedFailpoints guard("seed=9; interp.run=error(1)");
     for (const workloads::OpSpec& spec : workloads::gpuSuiteSmall()) {
         PrimFunc func = randomSchedule(spec, seed);
+        std::shared_ptr<const runtime::JitModule> mod =
+            runtime::jitCompile(func);
+        ASSERT_NE(mod, nullptr)
+            << spec.name << ": JIT compilation failed";
         std::vector<runtime::NDArray> args = diffInputs(func, seed);
         std::vector<runtime::NDArray*> arg_ptrs = diffPtrs(args);
+        failpoint::ScopedFailpoints guard("seed=9; interp.run=error(1)");
         std::string tw_what;
         try {
             runtime::Interpreter interp;
@@ -295,56 +322,15 @@ TEST_P(VmDifferentialTest, FailpointFiresIdentically)
             tw_what = e.what();
         }
         try {
-            runtime::VirtualMachine vm;
-            vm.run(runtime::compile(func), arg_ptrs);
-            FAIL() << spec.name << ": VM missed the failpoint";
+            mod->run(arg_ptrs);
+            FAIL() << spec.name << ": JIT missed the failpoint";
         } catch (const runtime::EvalError& e) {
             EXPECT_EQ(tw_what, e.what()) << spec.name;
         }
     }
 }
 
-TEST_P(VmDifferentialTest, ThreeWayParityAcrossEngines)
-{
-    // The native JIT tier must agree with both sequential engines on
-    // randomly scheduled Table 1 workloads. The C emitter performs
-    // exactly the interpreter's double arithmetic and the object is
-    // built with -ffp-contract=off, so on one machine and libm the
-    // comparison holds bit for bit (docs/EXECUTION.md documents when
-    // it would not); a missing toolchain skips rather than fails.
-    if (!runtime::jitAvailable()) {
-        GTEST_SKIP() << "no working C compiler for the JIT tier";
-    }
-    uint64_t seed = static_cast<uint64_t>(GetParam());
-    for (const workloads::OpSpec& spec : workloads::gpuSuiteSmall()) {
-        PrimFunc func = randomSchedule(spec, seed);
-        std::shared_ptr<const runtime::JitModule> mod =
-            runtime::jitCompile(func);
-        ASSERT_NE(mod, nullptr)
-            << spec.name << ": JIT compilation failed";
-        std::vector<runtime::NDArray> jit_args = diffInputs(func, seed);
-        std::vector<runtime::NDArray> vm_args = diffInputs(func, seed);
-        std::vector<runtime::NDArray> tw_args = diffInputs(func, seed);
-        std::vector<runtime::NDArray*> jit_ptrs = diffPtrs(jit_args);
-        std::vector<runtime::NDArray*> vm_ptrs = diffPtrs(vm_args);
-        std::vector<runtime::NDArray*> tw_ptrs = diffPtrs(tw_args);
-        mod->run(jit_ptrs);
-        runtime::VirtualMachine vm;
-        vm.run(runtime::compile(func), vm_ptrs);
-        runtime::Interpreter interp;
-        interp.run(func, tw_ptrs);
-        for (size_t i = 0; i < jit_args.size(); ++i) {
-            EXPECT_EQ(jit_args[i].maxAbsDiff(tw_args[i]), 0.0)
-                << spec.name << " argument " << i
-                << " differs between JIT and tree-walker";
-            EXPECT_EQ(jit_args[i].maxAbsDiff(vm_args[i]), 0.0)
-                << spec.name << " argument " << i
-                << " differs between JIT and VM";
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VmDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, JitDifferentialTest,
                          ::testing::Range(1, 4));
 
 /** compute_at at every loop depth of the consumer. */

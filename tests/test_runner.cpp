@@ -195,9 +195,9 @@ TEST(MeasureRunnerTest, RetriesStartupFailureThenReportsUnavailable)
 
 // --- search-level accounting under worker death ------------------------
 
-/** Private JIT cache + neutral engine env, like JitMeasurerTest: these
- *  tests compile real kernels and must not share cache state with the
- *  ambient CI environment. */
+/** Private JIT cache, like JitMeasurerTest: these tests compile real
+ *  kernels and must not share cache state with the ambient CI
+ *  environment. */
 class RunnerSearchTest : public ::testing::Test
 {
   protected:
@@ -206,7 +206,6 @@ class RunnerSearchTest : public ::testing::Test
     {
         cache_env_.emplace("TENSORIR_JIT_CACHE",
                            cache_dir_.path().c_str());
-        engine_env_.emplace("TENSORIR_ENGINE", nullptr);
         runtime::jitResetForTesting();
     }
 
@@ -230,7 +229,6 @@ class RunnerSearchTest : public ::testing::Test
 
     testutil::ScopedTempDir cache_dir_;
     std::optional<ScopedEnv> cache_env_;
-    std::optional<ScopedEnv> engine_env_;
 };
 
 TEST_F(RunnerSearchTest, CrashedCandidatesAreFilteredNotFatal)

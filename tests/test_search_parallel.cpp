@@ -372,17 +372,6 @@ TEST(ParallelSearchTest, InjectedFailuresAreAccountedExactly)
               static_cast<size_t>(searchOptions(2).generations) + 1);
 }
 
-/** The first number on the line of a trace::summaryText() roll-up
- *  that starts with `label` (a span name, or "counter <name>"); 0 when
- *  there is no such line. */
-int64_t
-summaryValue(const std::string& summary, const std::string& label)
-{
-    size_t at = summary.find("\n  " + label + " ");
-    if (at == std::string::npos) return 0;
-    return std::stoll(summary.substr(at + 3 + label.size()));
-}
-
 TEST(ParallelSearchTest, CompletedTracesAreNotReplayed)
 {
     // A mutated child often spells out a decision trace the search has
@@ -438,8 +427,10 @@ TEST(ParallelSearchTest, InjectedFaultOnReusedCandidateIsContained)
         result = meta::evolutionarySearch(op.func, counting, gpu,
                                           searchOptions(2));
         std::string summary = trace::summaryText();
-        generated = summaryValue(summary, "candidate.instantiate");
-        reused = summaryValue(summary, "counter search.trace_reuses");
+        generated =
+            testutil::summaryValue(summary, "candidate.instantiate");
+        reused = testutil::summaryValue(summary,
+                                        "counter search.trace_reuses");
     }
     failpoint::SiteStats st = failpoint::stats("search.instantiate");
     EXPECT_EQ(static_cast<int64_t>(st.evaluated), generated);
@@ -760,7 +751,8 @@ TEST(ParallelSearchTest, RacySketchAnalyzesEachStructureOnce)
     ASSERT_TRUE(session.owns());
     meta::evolutionarySearch(op.func, testutil::racyBindingSketch(), gpu,
                              racyOptions(4));
-    EXPECT_EQ(summaryValue(trace::summaryText(), "analysis.analyze_func"),
+    EXPECT_EQ(testutil::summaryValue(trace::summaryText(),
+                                     "analysis.analyze_func"),
               3);
 }
 
@@ -854,7 +846,7 @@ TEST(ParallelSearchTest, NumericCheckFiltersDeterministically)
     // gate rejects the same candidates at every parallelism setting and
     // the full result — including the numeric_filtered counter — stays
     // byte-identical. The surviving checks really execute candidates
-    // through the VM against the tree-walked oracle.
+    // on the tree-walker against its run of the unscheduled workload.
     registerBuiltinIntrinsics();
     workloads::OpSpec op = workloads::gmm(32, 32, 32);
     hwsim::GpuDevice gpu;

@@ -1,14 +1,16 @@
 /**
  * @file
  * Shared test helpers: build common workloads and sketches, check that
- * a transformed function computes the same values as the original, and
- * scope an environment variable or a temporary directory.
+ * a transformed function computes the same values as the original,
+ * scope an environment variable or a temporary directory, damage text
+ * for the fuzz tests, and read a trace summary.
  */
 #ifndef TENSORIR_TESTS_TEST_UTIL_H
 #define TENSORIR_TESTS_TEST_UTIL_H
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
@@ -17,7 +19,8 @@
 #include <vector>
 
 #include "meta/sketch.h"
-#include "runtime/vm.h"
+#include "runtime/interpreter.h"
+#include "support/rng.h"
 #include "te/te.h"
 
 namespace tir {
@@ -91,6 +94,50 @@ class ScopedTempDir
   private:
     std::string path_;
 };
+
+/** The first number on the line of a trace::summaryText() roll-up
+ *  that starts with `label` (a span name, or "counter <name>"); 0 when
+ *  there is no such line. */
+inline int64_t
+summaryValue(const std::string& summary, const std::string& label)
+{
+    size_t at = summary.find("\n  " + label + " ");
+    if (at == std::string::npos) return 0;
+    return std::stoll(summary.substr(at + 3 + label.size()));
+}
+
+/** One random damage to a non-empty `text`, the fuzz tests' mutation:
+ *  flip a few bytes, truncate, or splice a chunk of the text into
+ *  another place. */
+inline std::string
+damage(const std::string& text, Rng& rng)
+{
+    std::string out = text;
+    switch (rng.randInt(3)) {
+      case 0:
+        for (int64_t n = 1 + rng.randInt(4); n > 0; --n) {
+            out[static_cast<size_t>(rng.randInt(
+                static_cast<int64_t>(out.size())))] ^=
+                static_cast<char>(1 + rng.randInt(255));
+        }
+        break;
+      case 1:
+        out.resize(static_cast<size_t>(
+            rng.randInt(static_cast<int64_t>(out.size()))));
+        break;
+      default: {
+        size_t from = static_cast<size_t>(
+            rng.randInt(static_cast<int64_t>(text.size())));
+        size_t len = static_cast<size_t>(
+            1 + rng.randInt(static_cast<int64_t>(
+                    std::min<size_t>(256, text.size() - from))));
+        size_t to = static_cast<size_t>(
+            rng.randInt(static_cast<int64_t>(out.size()) + 1));
+        out.insert(to, text.substr(from, len));
+      }
+    }
+    return out;
+}
 
 /** Build a plain matmul C[n,m] = A[n,k] * B[k,m]. */
 inline PrimFunc
@@ -169,10 +216,8 @@ expectSameResults(const PrimFunc& candidate, const PrimFunc& reference,
     for (auto& a : cand_args) cand_ptrs.push_back(&a);
     for (auto& a : ref_args) ref_ptrs.push_back(&a);
 
-    // Bytecode VM by default; TENSORIR_ENGINE=treewalk (exercised by
-    // the oracle-engine CI pass) reruns everything on the oracle.
-    runtime::execute(candidate, cand_ptrs);
-    runtime::execute(reference, ref_ptrs);
+    runtime::Interpreter().run(candidate, cand_ptrs);
+    runtime::Interpreter().run(reference, ref_ptrs);
 
     size_t first_output = reference->params.size() -
                           static_cast<size_t>(num_outputs);
