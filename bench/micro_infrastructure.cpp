@@ -4,14 +4,19 @@
  * itself: schedule-primitive throughput, validation cost, sketch
  * instantiation rate, and simulated-measurement cost. These bound the
  * search throughput reported by the tuning-time experiment (Table 1).
+ * BM_ServeQueryHit times the serve lookup layer: a schedule-server
+ * query that the hot cache answers.
  */
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "hwsim/device.h"
+#include "ir/structural_hash.h"
 #include "meta/search.h"
 #include "runtime/jit.h"
+#include "serve/server.h"
 #include "te/te.h"
 #include "tir/schedule.h"
 #include "workloads/workloads.h"
@@ -258,6 +263,64 @@ BM_JitTable1Execution(benchmark::State& state)
     state.SetLabel(spec.name);
 }
 BENCHMARK(BM_JitTable1Execution)->DenseRange(0, 7);
+
+// --- Serve lookup -------------------------------------------------------
+//
+// ScheduleServer::query for a tuned workload: its record sits in the
+// hot cache and no tune is in flight, the path every repeat query takes.
+// Items per second count queries across all threads per wall second.
+
+struct ServeHitFixture
+{
+    serve::ScheduleServer server{[] {
+        serve::ServeOptions options;
+        options.tune_workers = 1;
+        return options;
+    }()};
+    meta::TuneTask task;
+};
+std::unique_ptr<ServeHitFixture> serve_hit;
+
+void
+setUpServeHit(const benchmark::State&)
+{
+    serve_hit = std::make_unique<ServeHitFixture>();
+    workloads::OpSpec op = workloads::gmm(64, 64, 64);
+    serve_hit->task = meta::TuneTask{op.func, op.einsum_block, "gpu",
+                                     {"wmma_16x16x16_f16"}};
+    meta::TuneRecord record;
+    record.workload_hash = structuralHash(op.func);
+    record.workload_name = op.name;
+    record.latency_us = 1.0;
+    record.sketch = "tensor";
+    serve_hit->server.target("gpu").commit(record);
+    (void)serve_hit->server.query(serve_hit->task);
+}
+
+void
+tearDownServeHit(const benchmark::State&)
+{
+    serve_hit.reset();
+}
+
+void
+BM_ServeQueryHit(benchmark::State& state)
+{
+    serve::ScheduleServer& server = serve_hit->server;
+    const meta::TuneTask& task = serve_hit->task;
+    for (auto _ : state) {
+        serve::ScheduleServer::Response resp = server.query(task);
+        benchmark::DoNotOptimize(resp.record.get());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeQueryHit)
+    ->Setup(setUpServeHit)
+    ->Teardown(tearDownServeHit)
+    ->UseRealTime()
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4);
 
 } // namespace
 

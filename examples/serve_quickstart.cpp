@@ -8,8 +8,9 @@
  *     background autoTune job and returns a PendingTune handle
  *     immediately; the first usable schedule streams out after the
  *     search's initial population, long before tuning finishes.
- *  3. Query again: now it is a cache hit — one atomic load on the hot
- *     path, the §5.2 record-caching idea turned into a service.
+ *  3. Query again: now it is a hot-cache hit — no hashing (the
+ *     workload's hash is memoized), no mutex, no shared counter — the
+ *     §5.2 record-caching idea turned into a service.
  *  4. Shut down cleanly: every background tune drains, and the
  *     database snapshots atomically to disk for the next process
  *     (re-running this example warm-starts from the snapshot).

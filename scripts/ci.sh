@@ -166,7 +166,9 @@ echo "ci: runner chaos (crashed/hung workers classified and journaled) passed"
 # pinned to 2 and then 4 CPUs — once plain and once with a
 # `thread_pool.claim` delay that holds pool workers between wake-up and
 # claim. On one CPU those interleavings almost never happen; the pool's
-# claim race hid there.
+# claim race hid there. The serving tests hold their own sync points
+# open the same way: the hot cache's finalize window and target
+# creation (`serve.finalize`, `serve.target_create`).
 CONCURRENCY_SUITES='ThreadPool*:ParallelSearch*:ServeDatabase*:HotCache*:PendingTune*:ScheduleServer*:RunnerSearch*:JitConcurrency*'
 if command -v taskset >/dev/null 2>&1; then
     for cpus in 2 4; do
@@ -225,10 +227,11 @@ echo "ci: ASan+UBSan build and tests passed"
 # concurrency-heavy suites — thread pool, trace buffers, failpoint
 # registry, the intrinsic-registry snapshot path the tree-walker reads
 # while intrinsics register, the JIT's single-flight probe and
-# compile, the parallel search pipeline and its journal paths, and the
-# serving layer (sharded database, hot cache, pending tune handle,
-# schedule server). The full suite under TSan's ~10x slowdown buys no
-# extra coverage: everything else is single-threaded.
+# compile, the parallel search pipeline and its journal paths, the
+# structural-hash memo's first-call race, and the serving layer
+# (sharded database, hot cache, pending tune handle, schedule server).
+# The full suite under TSan's ~10x slowdown buys no extra coverage:
+# everything else is single-threaded.
 TSAN_DIR="${BUILD_DIR}-tsan"
 rm -rf "$TSAN_DIR"
 cmake -B "$TSAN_DIR" -S . \
@@ -237,6 +240,6 @@ cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-Wno-restrict -fno-sanitize-recover=all"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target tensorir_tests
 "$TSAN_DIR/tests/tensorir_tests" \
-    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:JitConcurrency*:ServeDatabase*:HotCache*:PendingTune*:ScheduleServer*'
+    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:JitConcurrency*:StructuralHash*:ServeDatabase*:HotCache*:PendingTune*:ScheduleServer*'
 
 echo "ci: TSan build and concurrency tests passed"

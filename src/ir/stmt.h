@@ -6,10 +6,13 @@
 #ifndef TENSORIR_IR_STMT_H
 #define TENSORIR_IR_STMT_H
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ir/expr.h"
@@ -224,6 +227,10 @@ class BlockRealizeNode : public StmtNode
     }
 };
 
+class PrimFuncNode;
+/** Shared function handle. */
+using PrimFunc = std::shared_ptr<const PrimFuncNode>;
+
 /** A schedulable function: parameters (buffers) plus a root block body. */
 class PrimFuncNode
 {
@@ -238,9 +245,22 @@ class PrimFuncNode
         : name(std::move(n)), params(std::move(p)), body(std::move(b)),
           attrs(std::move(a))
     {}
+
+  private:
+    friend uint64_t structuralHash(const PrimFunc& func);
+
+    /** Memo of structuralHash(*this), valid once `hash_ready_` is set
+     *  (release store after the value, acquire load before reading
+     *  it). Every field above is const, so the hash never goes stale;
+     *  concurrent first calls may each compute it and store the same
+     *  value. The atomics also make the node non-copyable, so no copy
+     *  can carry a memo over. */
+    mutable std::atomic<uint64_t> hash_{0};
+    mutable std::atomic<bool> hash_ready_{false};
 };
-/** Shared function handle. */
-using PrimFunc = std::shared_ptr<const PrimFuncNode>;
+static_assert(!std::is_copy_constructible_v<PrimFuncNode>,
+              "a copied PrimFuncNode would inherit its structural-hash "
+              "memo");
 
 /** A collection of PrimFuncs keyed by name. */
 class IRModule

@@ -240,12 +240,18 @@ structuralHash(const Stmt& stmt)
 uint64_t
 structuralHash(const PrimFunc& func)
 {
+    if (func->hash_ready_.load(std::memory_order_acquire)) {
+        return func->hash_.load(std::memory_order_relaxed);
+    }
     Hasher hasher;
     uint64_t h = 0x6a09e667;
     for (const Buffer& param : func->params) {
         h = combine(h, hasher.bufferId(param));
     }
-    return combine(h, hasher.hashStmt(func->body));
+    h = combine(h, hasher.hashStmt(func->body));
+    func->hash_.store(h, std::memory_order_relaxed);
+    func->hash_ready_.store(true, std::memory_order_release);
+    return h;
 }
 
 } // namespace tir

@@ -17,7 +17,9 @@ namespace tir {
 uint64_t structuralHash(const Expr& expr);
 /** Structural hash of a statement. */
 uint64_t structuralHash(const Stmt& stmt);
-/** Structural hash of a function (params + body). */
+/** Structural hash of a function (params + body). Computed on the
+ *  first call and memoized on the immutable node, so a repeat call on
+ *  the same PrimFunc is two loads. */
 uint64_t structuralHash(const PrimFunc& func);
 
 } // namespace tir

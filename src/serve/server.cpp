@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "ir/structural_hash.h"
+#include "support/failpoint.h"
 #include "support/trace.h"
 
 namespace tir {
@@ -48,12 +49,27 @@ ScheduleServer::~ScheduleServer()
     }
 }
 
+TargetShard*
+ScheduleServer::findTarget(const std::string& name) const
+{
+    const TargetIndex* index =
+        target_index_.load(std::memory_order_acquire);
+    if (!index) return nullptr;
+    for (const auto& [target_name, shard] : *index) {
+        if (target_name == name) return shard;
+    }
+    return nullptr;
+}
+
 TargetShard&
 ScheduleServer::target(const std::string& name)
 {
+    if (TargetShard* shard = findTarget(name)) return *shard;
+    // The window in which racing first queries on one target have all
+    // missed the index; the re-check under the mutex closes it.
+    failpoint::inject("serve.target_create");
     std::lock_guard<std::mutex> lock(targets_mutex_);
-    auto it = targets_.find(name);
-    if (it != targets_.end()) return *it->second;
+    if (TargetShard* shard = findTarget(name)) return *shard;
     auto shard = std::make_unique<TargetShard>(deviceFor(name));
     if (!options_.snapshot_prefix.empty()) {
         // Warm start from the previous run's snapshot, if any. Load is
@@ -64,9 +80,18 @@ ScheduleServer::target(const std::string& name)
         std::string path = snapshotPath(options_.snapshot_prefix, name);
         if (std::ifstream(path).good()) shard->database().load(path);
     }
-    TargetShard& ref = *shard;
-    targets_.emplace(name, std::move(shard));
-    return ref;
+    // Publish a grown copy of the index: readers holding the old one
+    // keep a valid view, and the release store hands them the loaded
+    // shard.
+    const TargetIndex* current =
+        target_index_.load(std::memory_order_relaxed);
+    auto index = current ? std::make_unique<TargetIndex>(*current)
+                         : std::make_unique<TargetIndex>();
+    index->emplace_back(name, shard.get());
+    target_index_.store(index.get(), std::memory_order_release);
+    target_indexes_.push_back(std::move(index));
+    targets_.push_back(std::move(shard));
+    return *targets_.back();
 }
 
 ScheduleServer::Response
@@ -76,15 +101,25 @@ ScheduleServer::query(const meta::TuneTask& task)
         << "query on a shut-down ScheduleServer";
     const uint64_t hash = structuralHash(task.func);
     TargetShard& shard = target(task.target);
-    queries_.fetch_add(1, std::memory_order_relaxed);
 
     Response resp;
     std::optional<TargetShard::Hit> hit = shard.lookup(hash);
     if (hit) {
-        resp.record = hit->record;
+        resp.record = std::move(hit->record);
         resp.from_hot_cache = hit->from_hot_cache;
-        (hit->from_hot_cache ? hot_hits_ : shard_hits_)
-            .fetch_add(1, std::memory_order_relaxed);
+        if (hit->from_hot_cache) {
+            hot_hits_.add();
+        } else {
+            shard_hits_.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (hit->final) {
+            // Cached final: no tune of this workload commits again,
+            // and none can start (the database never drops a record,
+            // so the workload never misses again). The in-flight
+            // registry has nothing to add.
+            resp.final = true;
+            return resp;
+        }
     } else {
         misses_.fetch_add(1, std::memory_order_relaxed);
         trace::counterAdd("serve.misses", 1);
@@ -105,7 +140,12 @@ ScheduleServer::query(const meta::TuneTask& task)
             return resp;
         }
         if (hit) {
-            // Known record and no tune in flight: authoritative.
+            // Known record and no tune in flight: final. Serve the
+            // database's winner and cache it marked final, so the next
+            // hit skips this lock.
+            if (auto best = shard.finalize(hash)) {
+                resp.record = std::move(best);
+            }
             resp.final = true;
             return resp;
         }
@@ -116,9 +156,9 @@ ScheduleServer::query(const meta::TuneTask& task)
         // implies "result visible" — without this re-check, the race
         // would start a second tune for an already-tuned workload and
         // break the exactly-once contract.
-        if (std::optional<TargetShard::Hit> late = shard.lookup(hash)) {
-            resp.record = late->record;
-            resp.from_hot_cache = late->from_hot_cache;
+        if (std::shared_ptr<const meta::TuneRecord> late =
+                shard.finalize(hash)) {
+            resp.record = std::move(late);
             resp.final = true;
             return resp;
         }
@@ -186,6 +226,10 @@ ScheduleServer::runTune(std::string target_name, TargetShard* shard,
                            std::move(result.best_decisions),
                            std::move(result.best_sketch));
             shard->commit(record);
+            // This job commits nothing after this, so the winner is
+            // cached marked final: from here on a hot hit answers
+            // without the in-flight registry.
+            shard->finalize(workload_hash);
             records_streamed_.fetch_add(1, std::memory_order_relaxed);
             pending->publish(record);
             ok = true;
@@ -196,6 +240,9 @@ ScheduleServer::runTune(std::string target_name, TargetShard* shard,
     }
     if (!ok) tunes_failed_.fetch_add(1, std::memory_order_relaxed);
 
+    // The window in which hot hits are already final while the tune
+    // is still registered in flight.
+    failpoint::inject("serve.finalize");
     // Commit-then-unregister ordering matters: query()'s re-check
     // relies on "no in-flight entry" implying "final record visible".
     {
@@ -222,9 +269,12 @@ ScheduleServer::shutdown()
     }
     if (!options_.snapshot_prefix.empty()) {
         std::lock_guard<std::mutex> tlock(targets_mutex_);
-        for (const auto& [name, shard] : targets_) {
-            shard->database().save(
-                snapshotPath(options_.snapshot_prefix, name));
+        if (const TargetIndex* index =
+                target_index_.load(std::memory_order_relaxed)) {
+            for (const auto& [name, shard] : *index) {
+                shard->database().save(
+                    snapshotPath(options_.snapshot_prefix, name));
+            }
         }
     }
     shut_down_ = true;
@@ -234,10 +284,10 @@ ServerStats
 ScheduleServer::stats() const
 {
     ServerStats s;
-    s.queries = queries_.load(std::memory_order_relaxed);
-    s.hot_hits = hot_hits_.load(std::memory_order_relaxed);
+    s.hot_hits = hot_hits_.value();
     s.shard_hits = shard_hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
+    s.queries = s.hot_hits + s.shard_hits + s.misses;
     s.coalesced = coalesced_.load(std::memory_order_relaxed);
     s.tunes_started = tunes_started_.load(std::memory_order_relaxed);
     s.tunes_completed = tunes_completed_.load(std::memory_order_relaxed);

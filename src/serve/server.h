@@ -7,8 +7,17 @@
  *
  * Read path: per-target state (serve/shard.h) — a mutex-free hot cache
  * in front of a sharded, reader-writer-locked `meta::TuningDatabase`.
- * A hit is one atomic load on the hot path; concurrent lookups on
- * different workloads never contend.
+ * A hot hit on a final workload (one with a record that no tune will
+ * improve) hashes nothing (the workload's structural hash is memoized
+ * on its PrimFunc) and takes no mutex: the target comes from an
+ * immutable index, the hot cache yields the record and its final mark
+ * in one atomic load. Its two read-modify-writes, the hit counter's
+ * and the reference the Response keeps, land on the calling thread's
+ * own counter shard and arena anchor (serve/shard.h), so for up to
+ * support::kThreadShards client threads concurrent hits write no
+ * memory another thread writes. Every other query — a hit not yet
+ * marked final, a database hit, a miss — also checks the in-flight
+ * registry under its mutex.
  *
  * Miss path: misses coalesce single-flight per (target, workload hash)
  * onto one background `autoTune` job on the shared `ThreadPool`
@@ -36,11 +45,13 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "meta/database.h"
 #include "meta/search.h"
 #include "serve/request.h"
 #include "serve/shard.h"
+#include "support/sharded_counter.h"
 #include "support/thread_pool.h"
 
 namespace tir {
@@ -107,10 +118,12 @@ class ScheduleServer
     {
         /** Best schedule known right now; nullptr on a cold miss. */
         std::shared_ptr<const meta::TuneRecord> record;
-        /** True when `record` is authoritative: present and no tune for
-         *  this workload is in flight. False means a background tune is
-         *  (or just started) running — `pending` is set and may stream
-         *  something better. */
+        /** True when `record` is present and no tune will publish a
+         *  better record: none is in flight for this workload, or the
+         *  one in flight has made its final commit and only has to
+         *  unregister. False means a background tune is (or just
+         *  started) running — `pending` is set and may stream something
+         *  better. */
         bool final = false;
         /** Whether the hot cache served `record` (fast path). */
         bool from_hot_cache = false;
@@ -155,6 +168,12 @@ class ScheduleServer
 
   private:
     using FlightKey = std::pair<std::string, uint64_t>;
+    /** Every target created so far, by name. Immutable once published:
+     *  creating a target publishes a grown copy. */
+    using TargetIndex = std::vector<std::pair<std::string, TargetShard*>>;
+
+    /** The published index's shard for `name`, or nullptr. */
+    TargetShard* findTarget(const std::string& name) const;
 
     void runTune(std::string target_name, TargetShard* shard,
                  meta::TuneTask task, uint64_t workload_hash,
@@ -162,8 +181,13 @@ class ScheduleServer
 
     ServeOptions options_;
 
+    /** Serializes target creation; lookups read `target_index_`. */
     mutable std::mutex targets_mutex_;
-    std::map<std::string, std::unique_ptr<TargetShard>> targets_;
+    std::vector<std::unique_ptr<TargetShard>> targets_;
+    /** Every index ever published, kept so that a pointer a reader
+     *  loaded stays valid for the server's lifetime. */
+    std::vector<std::unique_ptr<const TargetIndex>> target_indexes_;
+    std::atomic<const TargetIndex*> target_index_{nullptr};
 
     mutable std::mutex inflight_mutex_;
     std::map<FlightKey, std::shared_ptr<PendingTune>> inflight_;
@@ -175,9 +199,9 @@ class ScheduleServer
     // Counters are individually relaxed-atomic; stats() copies them
     // into one ServerStats (each value exact, the set approximately
     // simultaneous — fine for monitoring and test assertions made
-    // after drain()).
-    std::atomic<uint64_t> queries_{0};
-    std::atomic<uint64_t> hot_hits_{0};
+    // after drain()). Hot hits count per thread; every query is one
+    // hot hit, shard hit or miss, so stats() derives `queries`.
+    support::ShardedCounter hot_hits_;
     std::atomic<uint64_t> shard_hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> coalesced_{0};

@@ -1,6 +1,7 @@
 #include "serve/shard.h"
 
 #include "support/logging.h"
+#include "support/sharded_counter.h"
 
 namespace tir {
 namespace serve {
@@ -25,6 +26,9 @@ HotCache::HotCache(size_t slots)
     : slots_(roundUpPow2(slots < kWays ? kWays : slots)),
       arena_(std::make_shared<Arena>())
 {
+    for (size_t i = 0; i < support::kThreadShards; ++i) {
+        anchors_.push_back(std::make_shared<const Anchor>(Anchor{arena_}));
+    }
 }
 
 size_t
@@ -35,7 +39,7 @@ HotCache::slotIndex(uint64_t hash) const
 }
 
 std::shared_ptr<const meta::TuneRecord>
-HotCache::get(uint64_t hash) const
+HotCache::get(uint64_t hash, bool* final) const
 {
     const size_t mask = slots_.size() - 1;
     size_t base = slotIndex(hash);
@@ -44,27 +48,31 @@ HotCache::get(uint64_t hash) const
         // Wait-free: the pointee is arena-pinned, so a pointer that was
         // ever published stays dereferenceable even if a racing put()
         // displaces it between our load and the hash compare.
-        const meta::TuneRecord* record =
-            slot.record.load(std::memory_order_acquire);
+        const uintptr_t entry = slot.entry.load(std::memory_order_acquire);
+        const auto* record =
+            reinterpret_cast<const meta::TuneRecord*>(entry & ~kFinalBit);
         if (record && record->workload_hash == hash) {
-            // Touch for LRU. Relaxed and racy on purpose: a lost or
-            // reordered touch only perturbs eviction order, never
-            // correctness.
-            const_cast<Slot&>(slot).stamp.store(
-                clock_.fetch_add(1, std::memory_order_relaxed),
-                std::memory_order_relaxed);
-            // Alias the arena anchor: the hit keeps the arena (and so
-            // the record) alive, without per-record refcount traffic
-            // on the read path.
-            return std::shared_ptr<const meta::TuneRecord>(arena_,
-                                                           record);
+            // Touch for LRU without a read-modify-write: copy the clock
+            // into the stamp only when it moved since the last touch.
+            // Relaxed and racy on purpose: a lost or reordered touch
+            // only perturbs eviction order, never correctness.
+            const uint64_t now = clock_.load(std::memory_order_relaxed);
+            if (slot.stamp.load(std::memory_order_relaxed) < now) {
+                slot.stamp.store(now, std::memory_order_relaxed);
+            }
+            if (final) *final = (entry & kFinalBit) != 0;
+            // Alias this thread's arena anchor: the hit keeps the arena
+            // (and so the record) alive, without per-record refcount
+            // traffic or a count shared with other threads.
+            return std::shared_ptr<const meta::TuneRecord>(
+                anchors_[support::threadShard()], record);
         }
     }
     return nullptr;
 }
 
 void
-HotCache::put(std::shared_ptr<const meta::TuneRecord> record)
+HotCache::put(std::shared_ptr<const meta::TuneRecord> record, bool final)
 {
     TIR_ICHECK(record) << "HotCache::put requires a record";
     const uint64_t hash = record->workload_hash;
@@ -81,8 +89,8 @@ HotCache::put(std::shared_ptr<const meta::TuneRecord> record)
     uint64_t oldest_stamp = ~uint64_t{0};
     for (size_t w = 0; w < kWays; ++w) {
         Slot& slot = slots_[(base + w) & mask];
-        const meta::TuneRecord* existing =
-            slot.record.load(std::memory_order_relaxed);
+        const auto* existing = reinterpret_cast<const meta::TuneRecord*>(
+            slot.entry.load(std::memory_order_relaxed) & ~kFinalBit);
         if (existing && existing->workload_hash == hash) {
             victim = &slot;
             break;
@@ -105,11 +113,12 @@ HotCache::put(std::shared_ptr<const meta::TuneRecord> record)
     // (visibility): a reader that wins the race to the new pointer must
     // find it pinned. Displaced records stay in the arena — see the
     // ownership note in the header.
-    const meta::TuneRecord* raw = record.get();
+    const uintptr_t entry =
+        reinterpret_cast<uintptr_t>(record.get()) | (final ? kFinalBit : 0);
     arena_->push_back(std::move(record));
     victim->stamp.store(clock_.fetch_add(1, std::memory_order_relaxed),
                         std::memory_order_relaxed);
-    victim->record.store(raw, std::memory_order_release);
+    victim->entry.store(entry, std::memory_order_release);
 }
 
 TargetShard::TargetShard(std::unique_ptr<hwsim::DeviceModel> device)
@@ -121,16 +130,15 @@ TargetShard::TargetShard(std::unique_ptr<hwsim::DeviceModel> device)
 std::optional<TargetShard::Hit>
 TargetShard::lookup(uint64_t workload_hash)
 {
-    if (auto cached = hot_.get(workload_hash)) {
-        return Hit{std::move(cached), /*from_hot_cache=*/true};
+    bool final = false;
+    if (auto cached = hot_.get(workload_hash, &final)) {
+        return Hit{std::move(cached), /*from_hot_cache=*/true, final};
     }
-    std::optional<meta::TuneRecord> record =
-        database_.lookup(workload_hash);
+    // Promote: the next lookup takes the fast path.
+    std::shared_ptr<const meta::TuneRecord> record =
+        refresh(workload_hash, /*final=*/false);
     if (!record) return std::nullopt;
-    auto shared =
-        std::make_shared<const meta::TuneRecord>(std::move(*record));
-    hot_.put(shared); // promote: next lookup takes the fast path
-    return Hit{std::move(shared), /*from_hot_cache=*/false};
+    return Hit{std::move(record), /*from_hot_cache=*/false};
 }
 
 void
@@ -142,9 +150,25 @@ TargetShard::commit(meta::TuneRecord record)
     // record we were handed: under racing commits ours may have lost
     // the improve-only comparison, and caching the loser would serve a
     // slower schedule from the fast path until the next eviction.
-    std::optional<meta::TuneRecord> best = database_.lookup(hash);
-    TIR_ICHECK(best.has_value());
-    hot_.put(std::make_shared<const meta::TuneRecord>(std::move(*best)));
+    std::shared_ptr<const meta::TuneRecord> best =
+        refresh(hash, /*final=*/false);
+    TIR_ICHECK(best);
+}
+
+std::shared_ptr<const meta::TuneRecord>
+TargetShard::finalize(uint64_t workload_hash)
+{
+    return refresh(workload_hash, /*final=*/true);
+}
+
+std::shared_ptr<const meta::TuneRecord>
+TargetShard::refresh(uint64_t workload_hash, bool final)
+{
+    std::optional<meta::TuneRecord> best = database_.lookup(workload_hash);
+    if (!best) return nullptr;
+    auto shared = std::make_shared<const meta::TuneRecord>(std::move(*best));
+    hot_.put(shared, final);
+    return shared;
 }
 
 } // namespace serve

@@ -1,8 +1,5 @@
 #include "support/env.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -11,27 +8,33 @@
 namespace tir {
 namespace support {
 
+std::optional<uint64_t>
+parseUint(std::string_view text)
+{
+    if (text.empty()) return std::nullopt;
+    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    uint64_t value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9') return std::nullopt;
+        const auto digit = static_cast<uint64_t>(c - '0');
+        if (value > (kMax - digit) / 10) return std::nullopt;
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
 uint64_t
 envUint(const char* name, uint64_t fallback, uint64_t min_value,
         uint64_t max_value)
 {
     const char* env = std::getenv(name);
     if (!env || !*env) return fallback;
-    const std::string text(env);
-    TIR_CHECK(std::all_of(text.begin(), text.end(),
-                          [](unsigned char c) {
-                              return std::isdigit(c) != 0;
-                          }))
+    const std::optional<uint64_t> value = parseUint(env);
+    TIR_CHECK(value && *value >= min_value && *value <= max_value)
         << name << "=\"" << env
-        << "\" is not an unsigned decimal integer";
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    TIR_CHECK(errno != ERANGE && end && *end == '\0' &&
-              v >= min_value && v <= max_value)
-        << name << " out of range (" << min_value << ".." << max_value
-        << "): \"" << env << "\"";
-    return static_cast<uint64_t>(v);
+        << "\" is not an unsigned decimal integer in " << min_value
+        << ".." << max_value;
+    return *value;
 }
 
 bool

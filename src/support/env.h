@@ -9,10 +9,11 @@
  * variable raises FatalError naming the variable and the offending
  * value; only an *unset or empty* variable yields the fallback.
  *
- * Numeric grammar: decimal digits only (no sign, no whitespace, no
- * suffix), checked before strtoull so a leading '-' cannot wrap to a
- * huge positive value, then an ERANGE check, then a caller-supplied
- * [min, max] range check.
+ * Numeric grammar (parseUint, shared with the failpoint schedule):
+ * decimal digits only (no sign, no whitespace, no suffix), so a
+ * leading '-' cannot wrap to a huge positive value, and at most
+ * UINT64_MAX; envUint then applies a caller-supplied [min, max] range
+ * check.
  *
  * Flag grammar: exactly "1"/"on" (true) or "0"/"off" (false).
  */
@@ -21,9 +22,16 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 namespace tir {
 namespace support {
+
+/** `text` as an unsigned decimal integer: non-empty, digits only,
+ *  and at most UINT64_MAX; nullopt for anything else (a sign, a blank,
+ *  a suffix, overflow). */
+std::optional<uint64_t> parseUint(std::string_view text);
 
 /** Parse env var `name` as an unsigned integer in [min_value,
  *  max_value]. Unset or empty returns `fallback` (which is not range

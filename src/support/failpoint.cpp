@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 
+#include "support/env.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -84,6 +87,26 @@ fires(const Registry& r, const SiteConfig& config, uint64_t index)
     return rng.randDouble() < config.probability;
 }
 
+/** A plain decimal — digits, optionally a '.' and more digits — as a
+ *  double; nullopt for anything else (a blank, a sign, an exponent, a
+ *  hex float, "inf", nothing at all). */
+std::optional<double>
+parseDecimal(const std::string& text)
+{
+    const std::string_view view(text);
+    const size_t dot = view.find('.');
+    if (!support::parseUint(view.substr(0, dot))) return std::nullopt;
+    if (dot != std::string_view::npos) {
+        const std::string_view fraction = view.substr(dot + 1);
+        if (fraction.empty() ||
+            fraction.find_first_not_of("0123456789") !=
+                std::string_view::npos) {
+            return std::nullopt;
+        }
+    }
+    return std::strtod(text.c_str(), nullptr);
+}
+
 /** Parse one action token: kind[(p[,arg])][@skip]. */
 void
 parseAction(const std::string& text, SiteConfig& config)
@@ -91,12 +114,10 @@ parseAction(const std::string& text, SiteConfig& config)
     std::string body = text;
     size_t at = body.rfind('@');
     if (at != std::string::npos) {
-        const std::string skip_text = body.substr(at + 1);
-        TIR_CHECK(!skip_text.empty() &&
-                  skip_text.find_first_not_of("0123456789") ==
-                      std::string::npos)
-            << "failpoint spec: bad @skip in '" << text << "'";
-        config.skip = std::strtoull(skip_text.c_str(), nullptr, 10);
+        const std::optional<uint64_t> skip =
+            support::parseUint(std::string_view(body).substr(at + 1));
+        TIR_CHECK(skip) << "failpoint spec: bad @skip in '" << text << "'";
+        config.skip = *skip;
         body = body.substr(0, at);
     }
     std::string kind = body;
@@ -108,20 +129,18 @@ parseAction(const std::string& text, SiteConfig& config)
         std::string params =
             body.substr(paren + 1, body.size() - paren - 2);
         size_t comma = params.find(',');
-        std::string p_text = params.substr(0, comma);
-        char* end = nullptr;
-        config.probability = std::strtod(p_text.c_str(), &end);
-        TIR_CHECK(end && *end == '\0' && config.probability >= 0 &&
-                  config.probability <= 1)
+        const std::optional<double> p = parseDecimal(params.substr(0, comma));
+        TIR_CHECK(p && *p <= 1)
             << "failpoint spec: bad probability in '" << text << "'";
+        config.probability = *p;
         if (comma != std::string::npos) {
-            std::string arg_text = params.substr(comma + 1);
-            config.arg = std::strtod(arg_text.c_str(), &end);
+            const std::optional<double> arg =
+                parseDecimal(params.substr(comma + 1));
             // Bounded so a delay converts to a duration and a corrupt
-            // count to an int without overflow (inf would be UB).
-            TIR_CHECK(end && *end == '\0' && config.arg >= 0 &&
-                      config.arg <= std::numeric_limits<int>::max())
+            // count to an int without overflow.
+            TIR_CHECK(arg && *arg <= std::numeric_limits<int>::max())
                 << "failpoint spec: bad argument in '" << text << "'";
+            config.arg = *arg;
         }
     }
     if (kind == "throw") {
@@ -164,11 +183,10 @@ parseSpec(const std::string& spec)
         std::string name = entry.substr(0, eq);
         std::string value = entry.substr(eq + 1);
         if (name == "seed") {
-            TIR_CHECK(!value.empty() &&
-                      value.find_first_not_of("0123456789") ==
-                          std::string::npos)
+            const std::optional<uint64_t> parsed = support::parseUint(value);
+            TIR_CHECK(parsed)
                 << "failpoint spec: bad seed '" << value << "'";
-            seed = std::strtoull(value.c_str(), nullptr, 10);
+            seed = *parsed;
             continue;
         }
         SiteState site;

@@ -23,9 +23,13 @@
  *
  * `p` is the trigger probability in [0, 1] (default 1). `arg`, in
  * [0, INT_MAX], is the delay in milliseconds for `delay` (default 10)
- * and the number of bytes to flip for `corrupt` (default 1). `@skip`
- * suppresses the first `skip` evaluations of a counter-keyed site —
- * the tool behind "crash exactly at the N-th checkpoint" tests.
+ * and the number of bytes to flip for `corrupt` (default 1). Both are
+ * plain decimals: digits, optionally a '.' and more digits (no blank,
+ * sign, exponent or hex). The seed and `skip` are unsigned decimal
+ * integers that fit in 64 bits (support::parseUint, the grammar of
+ * every numeric TENSORIR_* variable). `@skip` suppresses the first
+ * `skip` evaluations of a counter-keyed site — the tool behind "crash
+ * exactly at the N-th checkpoint" tests.
  *
  * Determinism: whether evaluation `i` of a site fires is a pure
  * function of (schedule seed, site name, i). Counter-keyed sites use a

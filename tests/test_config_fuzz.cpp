@@ -7,10 +7,12 @@
  * support::envFlag). Inputs are valid schedules and values damaged the
  * way the persistence fuzz damages records (testutil::damage: byte
  * flips, truncations, splices) plus random strings. Properties: no
- * crash and no hang; a rejected schedule throws FatalError and leaves
- * the previous schedule in force; envUint accepts exactly the
- * non-empty, all-digit, in-range strings and returns their value;
- * envFlag accepts exactly "1", "0", "on" and "off".
+ * crash and no hang; configure accepts exactly the schedules a
+ * reference grammar (regular expressions plus range checks) accepts,
+ * and a rejected schedule throws FatalError and leaves the previous
+ * schedule in force; envUint accepts exactly the non-empty, all-digit,
+ * in-range strings and returns their value; envFlag accepts exactly
+ * "1", "0", "on" and "off".
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -87,6 +90,45 @@ referenceUint(const std::string& text)
     return value;
 }
 
+/** The reference failpoint grammar (support/failpoint.h): whether
+ *  failpoint::configure must accept `spec`. Entries are split on ';'
+ *  and trimmed of blanks and tabs; an action is a kind, optional plain
+ *  decimal parameters and an optional @skip. */
+bool
+referenceSpecValid(const std::string& spec)
+{
+    static const std::regex action(
+        "(throw|error|delay|corrupt)"
+        "(\\(([0-9]+(\\.[0-9]+)?)(,([0-9]+(\\.[0-9]+)?))?\\))?"
+        "(@([0-9]+))?");
+    size_t pos = 0;
+    while (pos <= spec.size()) {
+        const size_t end = std::min(spec.find(';', pos), spec.size());
+        std::string entry = spec.substr(pos, end - pos);
+        pos = end + 1;
+        const size_t first = entry.find_first_not_of(" \t");
+        if (first == std::string::npos) continue;
+        const size_t last = entry.find_last_not_of(" \t");
+        entry = entry.substr(first, last + 1 - first);
+        const size_t eq = entry.find('=');
+        if (eq == std::string::npos || eq == 0) return false;
+        const std::string value = entry.substr(eq + 1);
+        if (entry.substr(0, eq) == "seed") {
+            if (!referenceUint(value)) return false;
+            continue;
+        }
+        std::smatch m;
+        if (!std::regex_match(value, m, action)) return false;
+        if (m[3].matched && std::stod(m[3].str()) > 1) return false;
+        if (m[6].matched &&
+            std::stod(m[6].str()) > std::numeric_limits<int>::max()) {
+            return false;
+        }
+        if (m[9].matched && !referenceUint(m[9].str())) return false;
+    }
+    return true;
+}
+
 class ConfigFuzzTest : public ::testing::Test
 {
   protected:
@@ -116,16 +158,19 @@ TEST_F(ConfigFuzzTest, FailpointGrammarRejectsWithoutSideEffects)
     for (int i = 0; i < 4000; ++i) {
         std::string spec = fuzzInput(corpus, alphabet, rng, i);
         failpoint::configure(keep);
+        const bool valid = referenceSpecValid(spec);
         try {
             failpoint::configure(spec);
         } catch (const FatalError&) {
             ASSERT_NE(i % 3, 0) << "valid spec rejected: " << spec;
+            ASSERT_FALSE(valid) << "valid spec rejected: " << spec;
             ++rejected;
             ASSERT_EQ(failpoint::currentSpec(), keep)
                 << "rejected spec changed the schedule: " << spec;
             ASSERT_EQ(failpoint::allStats().size(), 1u) << spec;
             continue;
         }
+        ASSERT_TRUE(valid) << "invalid spec accepted: " << spec;
         ++accepted;
         ASSERT_EQ(failpoint::currentSpec(), spec);
         // An accepted schedule configures again to the same sites.

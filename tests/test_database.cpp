@@ -11,8 +11,11 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
+#include <thread>
 
+#include "graph/models.h"
 #include "ir/structural_hash.h"
 #include "meta/database.h"
 #include "meta/search.h"
@@ -88,6 +91,59 @@ TEST(StructuralHashTest, SchedulingChangesTheHash)
     std::vector<Var> loops = sch.getLoops("C");
     sch.split(loops[0], {4, 4});
     EXPECT_NE(structuralHash(func), structuralHash(sch.func()));
+}
+
+TEST(StructuralHashTest, MemoMatchesSeparatelyBuiltTable1Layers)
+{
+    // Every layer of Table 1's models: the memoized repeat equals the
+    // first hash, and both equal the hash of the same layer built
+    // again from scratch and of a new node over the same fields.
+    using Build = graph::ModelSpec (*)();
+    int layers = 0;
+    for (Build build : {graph::resnet50Gpu, graph::mobilenetV2Gpu,
+                        graph::bertLargeGpu, graph::vitGpu}) {
+        const graph::ModelSpec a = build();
+        const graph::ModelSpec b = build();
+        ASSERT_EQ(a.layers.size(), b.layers.size()) << a.name;
+        for (size_t i = 0; i < a.layers.size(); ++i) {
+            const PrimFunc& func = a.layers[i].op.func;
+            const PrimFunc& again = b.layers[i].op.func;
+            ASSERT_NE(func, again);
+            const uint64_t first = structuralHash(func);
+            EXPECT_EQ(structuralHash(func), first) << func->name;
+            EXPECT_EQ(structuralHash(again), first) << func->name;
+            EXPECT_EQ(structuralHash(makeFunc(func->name, func->params,
+                                              func->body, func->attrs)),
+                      first)
+                << func->name;
+            ++layers;
+        }
+    }
+    EXPECT_GT(layers, 20);
+}
+
+TEST(StructuralHashTest, ConcurrentFirstHashesAgree)
+{
+    // Four threads race to compute and publish one function's memo;
+    // all of them, and every later call, see the same value.
+    const uint64_t expected =
+        structuralHash(workloads::gmm(128, 128, 128).func);
+    constexpr int kThreads = 4;
+    for (int round = 0; round < 8; ++round) {
+        const PrimFunc func = workloads::gmm(128, 128, 128).func;
+        std::latch start(kThreads);
+        std::vector<uint64_t> got(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                got[t] = structuralHash(func);
+            });
+        }
+        for (auto& th : threads) th.join();
+        for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected);
+        EXPECT_EQ(structuralHash(func), expected);
+    }
 }
 
 TEST(StructuralHashTest, ExprHashing)

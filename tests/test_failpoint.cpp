@@ -155,6 +155,23 @@ TEST_F(FailpointTest, MalformedSpecsThrowAndLeaveScheduleIntact)
     EXPECT_THROW(failpoint::configure("x=corrupt(1,1e10)"), FatalError);
     EXPECT_THROW(failpoint::configure("x=throw@abc"), FatalError);
     EXPECT_THROW(failpoint::configure("seed=abc"), FatalError);
+    // Numbers follow support::parseUint and plain decimals: overflow,
+    // an empty probability or argument, blanks, signs, exponents and
+    // hex floats are errors, not saturated or approximated values.
+    EXPECT_THROW(failpoint::configure("seed=99999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(failpoint::configure("x=throw@99999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(failpoint::configure("x=error()"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=delay(1,)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error( 0.5)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=delay(1, 5)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error(0x1p-1)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=delay(1,0x10)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error(5e-1)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error(+0.5)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error(.5)"), FatalError);
+    EXPECT_THROW(failpoint::configure("x=error(1.)"), FatalError);
     // The previous schedule survived every failed configure.
     EXPECT_EQ(failpoint::currentSpec(), "keep.site=error");
     EXPECT_TRUE(failpoint::inject("keep.site"));

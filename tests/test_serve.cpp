@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <latch>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -466,6 +467,133 @@ TEST(ScheduleServerTest, ShutdownSnapshotsAndWarmStartRestores)
         EXPECT_EQ(server.stats().tunes_started, 0u);
         server.shutdown();
     }
+}
+
+TEST(ScheduleServerTest, FinalizeWindowServesOnlyTheFinalRecordAsFinal)
+{
+    // Clients hammer one workload while its tune runs, through the
+    // window between the tune's final commit and its unregister (held
+    // open by a delay), and after it. Hot hits in that window are
+    // already final, with no in-flight check. Every final response
+    // must carry the final record, and exactly one tune runs.
+    serve::ServeOptions options;
+    options.tune_workers = 1;
+    options.tune = smallTune();
+    serve::ScheduleServer server(options);
+    failpoint::ScopedFailpoints window("serve.finalize=delay(1,200)");
+
+    workloads::OpSpec op = workloads::gmm(64, 64, 64);
+    const meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
+    const serve::ScheduleServer::Response miss = server.query(task);
+    ASSERT_NE(miss.pending, nullptr);
+
+    struct Seen
+    {
+        std::set<double> final_latencies;
+        int final_without_record = 0;
+        /** Neither final nor joined to the running tune. */
+        int unfinished_without_pending = 0;
+        /** Final while the tune had not finished yet. */
+        int final_in_window = 0;
+    };
+    constexpr int kClients = 4;
+    std::vector<Seen> seen(kClients);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            while (!stop.load()) {
+                const serve::ScheduleServer::Response resp =
+                    server.query(task);
+                const bool tune_done = miss.pending->done();
+                if (!resp.final) {
+                    if (!resp.pending) ++seen[c].unfinished_without_pending;
+                    continue;
+                }
+                if (!resp.record) {
+                    ++seen[c].final_without_record;
+                    continue;
+                }
+                seen[c].final_latencies.insert(resp.record->latency_us);
+                if (!tune_done) ++seen[c].final_in_window;
+            }
+        });
+    }
+    const std::optional<meta::TuneRecord> final_record =
+        miss.pending->waitFinal(std::chrono::minutes(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stop.store(true);
+    for (auto& th : clients) th.join();
+    server.shutdown();
+
+    ASSERT_TRUE(final_record.has_value());
+    int final_in_window = 0;
+    for (const Seen& s : seen) {
+        EXPECT_EQ(s.final_without_record, 0);
+        EXPECT_EQ(s.unfinished_without_pending, 0);
+        for (double latency : s.final_latencies) {
+            EXPECT_EQ(latency, final_record->latency_us);
+        }
+        final_in_window += s.final_in_window;
+    }
+    EXPECT_GT(final_in_window, 0)
+        << "no client was served during the finalize window";
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.tunes_started, 1u);
+    EXPECT_EQ(stats.tunes_completed, 1u);
+    EXPECT_EQ(stats.misses, stats.coalesced + 1)
+        << "every miss but the first joins the one tune";
+}
+
+TEST(ScheduleServerTest, ConcurrentFirstQueriesShareOneTarget)
+{
+    // Four clients make the first accesses to a target at once, and a
+    // delay holds each one that missed the target index before it
+    // creates the target. They must all get one TargetShard, warm
+    // started from the snapshot before any of them reads it.
+    testutil::ScopedTempDir dir;
+    serve::ServeOptions options;
+    options.tune_workers = 1;
+    options.tune = smallTune();
+    options.snapshot_prefix = dir.file("serve_first_target");
+    workloads::OpSpec op = workloads::gmm(64, 64, 64);
+    const meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
+    {
+        serve::ScheduleServer seeder(options);
+        seeder.target("gpu").commit(
+            makeRecord(structuralHash(task.func), 1.5, "warm"));
+        seeder.shutdown();
+    }
+
+    serve::ScheduleServer server(options);
+    failpoint::ScopedFailpoints slow_create(
+        "serve.target_create=delay(1,20)");
+    constexpr int kClients = 4;
+    std::latch start(kClients);
+    std::vector<serve::TargetShard*> shards(kClients);
+    std::vector<serve::ScheduleServer::Response> responses(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            start.arrive_and_wait();
+            shards[c] = &server.target("gpu");
+            responses[c] = server.query(task);
+        });
+    }
+    for (auto& th : clients) th.join();
+    EXPECT_GE(failpoint::stats("serve.target_create").evaluated, 1u);
+
+    for (int c = 0; c < kClients; ++c) {
+        EXPECT_EQ(shards[c], shards[0]) << "client " << c;
+        ASSERT_NE(responses[c].record, nullptr) << "client " << c;
+        EXPECT_TRUE(responses[c].final);
+        EXPECT_DOUBLE_EQ(responses[c].record->latency_us, 1.5);
+    }
+    server.shutdown();
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.queries, static_cast<uint64_t>(kClients));
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.tunes_started, 0u);
 }
 
 TEST(ScheduleServerTest, QueryAfterShutdownFailsLoudly)
